@@ -3,6 +3,7 @@ checked exactly (zero tolerance) with numeric spot-checks at 1e-10."""
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from qexpmap.algebra_a import apq_presentation
 from qexpmap.algebra_u import u_presentation
@@ -118,3 +119,9 @@ def test_16_golden_files_byte_stable(tmp_path):
         b2 = (second / f"{name}.json").read_bytes()
         assert b1 == b2, f"golden {name} not byte-stable"
     assert goldens.compare(first) == []
+
+
+def test_17_committed_goldens_unchanged():
+    # tests/goldens/ holds recordings committed earlier, so this catches
+    # drift that two fresh recordings (test_16) would agree on
+    assert goldens.compare(Path(__file__).parent / "goldens") == []
