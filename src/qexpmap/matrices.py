@@ -4,15 +4,62 @@ Entries only need +, -, * among themselves; inversion additionally needs
 field division and is provided for FracScalar entries via Gauss-Jordan
 elimination with exact arithmetic (pivot = first entry in column order
 that is nonzero under cross-multiplication equality).
+
+The matrix product skips every entry product with a zero operand (the
+sparse product of Gustavson, ACM TOMS 4(3), 1978), since the spin-j
+matrices are triangular or banded.  Its result is nevertheless entry for
+entry the one of the dense sum over k: FracScalar has no canonical form,
+so its bytes depend on the order in which values were combined.  The
+nonzero products are therefore added in ascending k, and a zero product
+is still added wherever it would lift the sum's type (int, Fraction,
+HalfLaurent, FracScalar, RadScalar, NCPoly in promotion order).  Adding
+a zero of a type no higher than the sum's leaves its value and bytes
+unchanged.
 """
 
 from __future__ import annotations
 
-from .scalars import FracScalar, scalar_is_zero
+from fractions import Fraction
+
+from .rewrite import NCPoly
+from .scalars import FracScalar, HalfLaurent, RadScalar, scalar_is_zero
 
 
 class MatrixError(ArithmeticError):
     pass
+
+
+# promotion order of + and * among entry types: a sum or product takes the
+# type of its higher-ranked operand
+_TYPE_RANK = {int: 0, Fraction: 1, HalfLaurent: 2, FracScalar: 3,
+              RadScalar: 4, NCPoly: 5}
+
+
+def _tagged(entries):
+    """(entry, is nonzero, type rank) for each entry of a row or column."""
+    return [(x, not scalar_is_zero(x), _TYPE_RANK[type(x)]) for x in entries]
+
+
+def _dot(row, col):
+    """The sum of row[k] * col[k] over k, entry for entry as the dense loop
+    forms it; row and col hold _tagged triples."""
+    acc, rank, zero = None, -1, None     # rank: type rank of the dense sum
+    for (x, xnz, xr), (y, ynz, yr) in zip(row, col):
+        r = xr if xr > yr else yr
+        if xnz and ynz:
+            if acc is None and rank > r:
+                # the dense sum so far is a zero of a higher type than x*y
+                acc = zero[0] * zero[1]
+            acc = x * y if acc is None else acc + x * y
+        elif r > rank:
+            # a zero product that lifts the type of the dense sum
+            if acc is None:
+                zero = (x, y)
+            else:
+                acc = acc + x * y
+        if r > rank:
+            rank = r
+    return zero[0] * zero[1] if acc is None else acc
 
 
 class Matrix:
@@ -67,16 +114,10 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise MatrixError("shape mismatch in mul")
-            out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
-                    acc = self.rows[i][0] * other.rows[0][j]
-                    for k in range(1, self.ncols):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
+            rows = [_tagged(row) for row in self.rows]
+            cols = [_tagged(col) for col in zip(*other.rows)]
+            return Matrix([[_dot(arow, bcol) for bcol in cols]
+                           for arow in rows])
         return self.map(lambda x: x * other)
 
     def __rmul__(self, other):
