@@ -394,8 +394,8 @@ class NCPoly:
 
     def map_coeffs(self, fn) -> "NCPoly":
         out = NCPoly(self.pres, {}, normalize=False)
-        out.terms = {w: fn(c) for w, c in self.terms.items()
-                     if not scalar_is_zero(fn(c))}
+        mapped = ((w, fn(c)) for w, c in self.terms.items())
+        out.terms = {w: c for w, c in mapped if not scalar_is_zero(c)}
         return out
 
     def eval_coeffs(self, params: NumericParams):

@@ -92,6 +92,18 @@ class TestNormalOrder:
         with pytest.raises(GuardExceeded):
             a_parse("d^3*a^3")
 
+    def test_map_coeffs_calls_fn_once_per_term(self):
+        x = a_parse("a*d + 2*b*c - 3*d")
+        seen = []
+
+        def double_or_drop(c):
+            seen.append(c)
+            return 0 if c == -3 else 2 * c
+
+        y = x.map_coeffs(double_or_drop)
+        assert len(seen) == 3
+        assert y == a_parse("2*a*d + 4*b*c")
+
 
 class TestTensor:
     def test_legs_commute(self):
