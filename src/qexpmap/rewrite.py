@@ -25,7 +25,21 @@ DEFAULT_GUARD = 10 ** 6
 
 
 def term_guard() -> int:
-    return int(os.environ.get("QEXPMAP_GUARD", DEFAULT_GUARD))
+    """The term-count guard: QEXPMAP_GUARD if set, else DEFAULT_GUARD.
+
+    Raises ValueError naming the variable unless it is a positive integer.
+    """
+    text = os.environ.get("QEXPMAP_GUARD")
+    if text is None:
+        return DEFAULT_GUARD
+    try:
+        guard = int(text)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise ValueError(
+            f"QEXPMAP_GUARD must be a positive integer, got {text!r}")
+    return guard
 
 
 class RewriteError(Exception):

@@ -41,6 +41,13 @@ class TestNormalOrder:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_guard_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("QEXPMAP_GUARD", value)
+        code, _, err = run(capsys, "normal-order", "a")
+        assert code == 2
+        assert "QEXPMAP_GUARD" in err
+
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "normal-order", "--format", "json", "d*a")
         assert code == 0
