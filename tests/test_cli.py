@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,17 @@ class TestVerify:
     def test_unknown_suite_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+    # tests/refs/ holds reports recorded with earlier code; `specialize`
+    # lists its checks in builder order, not sorted, which is easy to break
+    @pytest.mark.parametrize("suite", ["all", "specialize"])
+    def test_report_bytes_match_reference(self, capsys, tmp_path, suite):
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "--suite", suite,
+                         "--out", str(path))
+        assert code == 0
+        ref = Path(__file__).parent / "refs" / f"verify_{suite}.json"
+        assert path.read_bytes() == ref.read_bytes()
 
 
 class TestGolden:
