@@ -65,15 +65,16 @@ class CheckResult:
                 "notes": self.notes}
 
 
-def run_identities(check: str, params: dict, identities) -> CheckResult:
-    """Evaluate identities exactly; failing labels go into residuals."""
-    identities = list(identities)
+def run_identities(check: str, params: dict, identities,
+                   verdicts) -> CheckResult:
+    """Report identities given their exact verdicts (holds_exactly());
+    failing labels go into residuals."""
     failing = []
     notes = []
-    for ident in identities:
+    for ident, holds in zip(identities, verdicts):
         if ident.note:
             notes.append(f"{ident.label}: {ident.note}")
-        if not ident.holds_exactly():
+        if not holds:
             failing.append({"identity": ident.label,
                             "residual": _describe(ident.residual())})
     return CheckResult(check, params, not failing, failing, notes)

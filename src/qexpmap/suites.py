@@ -205,43 +205,52 @@ def random_points(count: int = 5, seed: int = 31415) -> list[NumericParams]:
     return points
 
 
-def _run_specialize(opts) -> list[CheckResult]:
-    points = random_points(opts.get("points", 5))
-    tol = opts.get("tol", 1e-10)
-    results = []
-    for name in IDENTITY_SUITES:
-        for check, params, idents in _BUILDERS[name](opts):
-            failing = []
-            for ident in idents:
-                if not ident.holds_exactly():
-                    continue  # exact failures are the exact runner's job
-                for pt in points:
-                    if not ident.numeric_close(pt, tol):
-                        failing.append({"identity": ident.label,
-                                        "residual": f"numeric mismatch at {pt}"})
-                        break
-            params = dict(params, points=len(points), tol=tol)
-            results.append(CheckResult(f"specialize.{check}", params,
-                                       not failing, failing, []))
-    return results
+def _specialize(check, params, idents, verdicts, points, tol) -> CheckResult:
+    """Numeric re-check of identities that hold exactly; the exact failures
+    are reported by the exact check."""
+    failing = []
+    for ident, holds in zip(idents, verdicts):
+        if not holds:
+            continue
+        for pt in points:
+            if not ident.numeric_close(pt, tol):
+                failing.append({"identity": ident.label,
+                                "residual": f"numeric mismatch at {pt}"})
+                break
+    params = dict(params, points=len(points), tol=tol)
+    return CheckResult(f"specialize.{check}", params, not failing, failing, [])
 
 
 def run_suite(name: str, **opts) -> list[CheckResult]:
-    """Run one named suite (or 'all'); results sorted by check name."""
-    if name == "all":
-        results = []
-        for sub in IDENTITY_SUITES:
-            results.extend(run_suite(sub, **opts))
-        results.extend(_run_confluence(opts))
-        results.extend(_run_specialize(opts))
-        return sorted(results, key=lambda r: r.check)
+    """Run one named suite (or 'all').
+
+    Each identity is built once and checked exactly once.  `specialize`
+    and `all` then evaluate the same identities numerically at random
+    generic points.  Results are sorted by check name, except that
+    `specialize` keeps builder order.
+    """
     if name == "confluence":
         return _run_confluence(opts)
-    if name == "specialize":
-        return _run_specialize(opts)
-    if name not in _BUILDERS:
+    if name in ("all", "specialize"):
+        suites = IDENTITY_SUITES
+        points = random_points(opts.get("points", 5))
+        tol = opts.get("tol", 1e-10)
+    elif name in _BUILDERS:
+        suites, points = (name,), None
+    else:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITES}")
-    return sorted(
-        (run_identities(check, params, idents)
-         for check, params, idents in _BUILDERS[name](opts)),
-        key=lambda r: r.check)
+    results = []
+    for suite in suites:
+        for check, params, idents in _BUILDERS[suite](opts):
+            idents = list(idents)
+            verdicts = [ident.holds_exactly() for ident in idents]
+            if name != "specialize":
+                results.append(run_identities(check, params, idents, verdicts))
+            if points is not None:
+                results.append(_specialize(check, params, idents, verdicts,
+                                           points, tol))
+    if name == "specialize":
+        return results
+    if name == "all":
+        results.extend(_run_confluence(opts))
+    return sorted(results, key=lambda r: r.check)
