@@ -130,10 +130,6 @@ class Matrix:
             self.nrows, self.ncols,
             lambda i, j: row_factors[i] * self.rows[i][j] * col_factors[j])
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
-
     def kron(self, other) -> "Matrix":
         return Matrix.build(
             self.nrows * other.nrows, self.ncols * other.ncols,

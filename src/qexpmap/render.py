@@ -6,92 +6,21 @@ from fractions import Fraction
 
 from .matrices import Matrix
 from .rewrite import NCPoly, _word_sort_key
-from .scalars import (FracScalar, HalfLaurent, RadScalar, render_halflaurent,
-                      scalar_lambda_one, scalar_to_json)
+from .scalars import (FracScalar, HalfLaurent, RadScalar, scalar_lambda_one,
+                      scalar_to_json)
 
 
 # ---------------------------------------------------------------------------
 # text
 
 
-def scalar_text(x, lambda_one: bool = False) -> str:
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    if lambda_one:
-        x = scalar_lambda_one(x)
-    if isinstance(x, HalfLaurent):
-        return render_halflaurent(x, lambda_one)
-    if isinstance(x, FracScalar):
-        if x.den.is_one():
-            return render_halflaurent(x.num, lambda_one)
-        return (f"({render_halflaurent(x.num, lambda_one)})/"
-                f"({render_halflaurent(x.den, lambda_one)})")
-    if isinstance(x, RadScalar):
-        if x.is_zero():
-            return "0"
-        parts = []
-        for c, rad in x.terms:
-            s = scalar_text(c, lambda_one)
-            if rad:
-                if not (s == "1" and len(x.terms) == 1):
-                    s = f"({s})*" if ("+" in s or " - " in s or "/" in s) \
-                        else (s + "*" if s != "1" else "")
-                else:
-                    s = ""
-                s += "sqrt(" + "*".join(f"[{n}]" for n in rad) + ")"
-            parts.append(s)
-        return " + ".join(parts)
-    raise TypeError(f"cannot render {type(x).__name__}")
-
-
-def _exp_text(e) -> str:
-    e = Fraction(e)
-    return str(e.numerator) if e.denominator == 1 \
-        else f"{e.numerator}/{e.denominator}"
-
-
-def poly_text(x: NCPoly) -> str:
-    """Like str(NCPoly) but renders coefficients of lambda-one presentations
-    with p = q identified."""
-    lam1 = getattr(x.pres, "lambda_one", False)
-    if not x.terms:
-        return "0"
-    pieces = []
-    for word in sorted(x.terms, key=lambda w: _word_sort_key(x.pres, w)):
-        wstr = "*".join(g if e == 1 else f"{g}^{_exp_text(e)}"
-                        for g, e in word)
-        cstr = scalar_text(x.terms[word], lam1)
-        if wstr:
-            if cstr == "1":
-                pieces.append(wstr)
-            elif cstr == "-1":
-                pieces.append(f"-{wstr}")
-            else:
-                if ("+" in cstr or " - " in cstr or "/" in cstr) \
-                        and not (cstr.startswith("(") and cstr.endswith(")")):
-                    cstr = f"({cstr})"
-                pieces.append(f"{cstr}*{wstr}")
-        else:
-            pieces.append(cstr if "+" not in cstr else f"({cstr})")
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
-
-
 def matrix_text(m: Matrix) -> str:
-    cells = [[_entry_text(x) for x in row] for row in m.rows]
+    cells = [[str(x) for x in row] for row in m.rows]
     widths = [max(len(cells[r][c]) for r in range(m.nrows))
               for c in range(m.ncols)]
     lines = ["[" + ", ".join(cell.rjust(w) for cell, w in zip(row, widths))
              + "]" for row in cells]
     return "\n".join(lines)
-
-
-def _entry_text(x) -> str:
-    if isinstance(x, NCPoly):
-        return poly_text(x)
-    return scalar_text(x)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +165,7 @@ def render_poly(x: NCPoly, fmt: str) -> str:
         return json.dumps(poly_json(x), sort_keys=True)
     if fmt == "latex":
         return poly_latex(x)
-    return poly_text(x)
+    return str(x)
 
 
 def render_matrix(m: Matrix, fmt: str) -> str:

@@ -15,7 +15,8 @@ import os
 from fractions import Fraction
 
 from .scalars import (FracScalar, HalfLaurent, scalar_is_zero, scalar_to_json,
-                      scalar_from_json, NumericParams, eval_numeric)
+                      scalar_from_json, scalar_text, NumericParams,
+                      eval_numeric)
 
 ORDINARY = "ordinary"
 INVERTIBLE = "invertible"
@@ -80,9 +81,6 @@ class Presentation:
                 if (hi, lo) not in self.rules:
                     raise ValueError(f"missing swap rule for pair ({hi}, {lo})")
 
-    def gen_names(self):
-        return [g for g, _ in self.generators]
-
     def is_scaling(self, g) -> bool:
         return self.kind[g] == SCALING
 
@@ -107,12 +105,12 @@ class Presentation:
         if s2 == -1:
             if not self.is_invertible(g2):
                 raise RewriteError(f"negative power of non-invertible {g2}")
-            rule = _invert_lower(rule, x)
+            rule = _invert(rule, x)
             x = (g2, -1)
         if s1 == -1:
             if not self.is_invertible(g1):
                 raise RewriteError(f"negative power of non-invertible {g1}")
-            rule = _invert_upper(rule, y)
+            rule = _invert(rule, y)
             y = (g1, -1)
         kappa, corr = rule
         out = [(kappa, (x, y))] + [(c, w) for c, w in corr]
@@ -120,23 +118,14 @@ class Presentation:
         return out
 
 
-def _invert_lower(rule, x):
-    """From Y X = kappa X Y + C derive Y X^-1 = kappa^-1 X^-1 Y
-    - kappa^-1 X^-1 C X^-1."""
+def _invert(rule, z):
+    """From Y X = kappa X Y + C, with z the atom X or Y, derive the rule
+    for z inverted: Y X^-1 = kappa^-1 X^-1 Y - kappa^-1 X^-1 C X^-1, or
+    Y^-1 X = kappa^-1 X Y^-1 - kappa^-1 Y^-1 C Y^-1."""
     kappa, corr = rule
     ki = kappa.inverse() if isinstance(kappa, FracScalar) else FracScalar(kappa).inverse()
-    xi = (x[0], -x[1])
-    new_corr = tuple((-(ki * c), (xi,) + tuple(w) + (xi,)) for c, w in corr)
-    return (ki, new_corr)
-
-
-def _invert_upper(rule, y):
-    """From Y X = kappa X Y + C derive Y^-1 X = kappa^-1 X Y^-1
-    - kappa^-1 Y^-1 C Y^-1."""
-    kappa, corr = rule
-    ki = kappa.inverse() if isinstance(kappa, FracScalar) else FracScalar(kappa).inverse()
-    yi = (y[0], -y[1])
-    new_corr = tuple((-(ki * c), (yi,) + tuple(w) + (yi,)) for c, w in corr)
+    zi = (z[0], -z[1])
+    new_corr = tuple((-(ki * c), (zi,) + tuple(w) + (zi,)) for c, w in corr)
     return (ki, new_corr)
 
 
@@ -303,9 +292,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_normal(self) -> bool:
-        return all(_find_event(self.pres, w) is None for w in self.terms)
-
     # -- arithmetic
 
     def _coerce(self, other):
@@ -392,19 +378,8 @@ class NCPoly:
     def normalized(self) -> "NCPoly":
         return NCPoly(self.pres, [(c, w) for w, c in self.terms.items()])
 
-    def degree_in(self, names) -> int:
-        names = set(names)
-        deg = 0
-        for w in self.terms:
-            deg = max(deg, sum(int(e) for g, e in w if g in names))
-        return deg if self.terms else 0
-
     def uses(self, name) -> bool:
         return any(g == name for w in self.terms for g, _ in w)
-
-    def coeff_of(self, atoms):
-        atoms = tuple((g, Fraction(e)) for g, e in atoms)
-        return self.terms.get(atoms, 0)
 
     def map_coeffs(self, fn) -> "NCPoly":
         out = NCPoly(self.pres, {}, normalize=False)
@@ -452,17 +427,14 @@ class NCPoly:
         return NCPoly(pres, raw)
 
     def __str__(self):
+        """Text form; coefficients over a lambda-one presentation are
+        rendered with p = q identified."""
         if not self.terms:
             return "0"
         pieces = []
         for word in sorted(self.terms, key=lambda w: _word_sort_key(self.pres, w)):
-            coeff = self.terms[word]
-            wstr = "*".join(
-                g if e == 1 else
-                (f"{g}^{e}" if Fraction(e).denominator == 1
-                 else f"{g}^{Fraction(e).numerator}/{Fraction(e).denominator}")
-                for g, e in word)
-            cstr = str(coeff)
+            wstr = "*".join(g if e == 1 else f"{g}^{e}" for g, e in word)
+            cstr = scalar_text(self.terms[word], self.pres.lambda_one)
             if wstr:
                 if cstr == "1":
                     pieces.append(wstr)
@@ -484,7 +456,7 @@ class NCPoly:
         return f"NCPoly<{self.pres.name}>({self})"
 
 
-def normal_order(x: NCPoly, pres: Presentation = None) -> NCPoly:
+def normal_order(x: NCPoly) -> NCPoly:
     """Normal-order a polynomial (NCPoly normalizes eagerly; this re-runs it)."""
     return x.normalized()
 

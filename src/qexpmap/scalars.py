@@ -79,9 +79,6 @@ class HalfLaurent:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def is_const(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
-
     # -- ring operations
 
     def _coerce(self, other):
@@ -265,7 +262,7 @@ def q_pow(n: int = 1) -> HalfLaurent:
     return HalfLaurent.monomial(1, 2 * n, -2 * n)
 
 
-_QINT_BASE = {"Q": (2, 0), "q": (2, -2), "generic-t-as-Q": (2, 0)}
+_QINT_BASE = {"Q": (2, 0), "q": (2, -2)}
 
 
 def qint(n: int, variable: str = "Q") -> HalfLaurent:
@@ -442,10 +439,7 @@ class FracScalar:
         return f"FracScalar({self})"
 
     def __str__(self):
-        if self.den.is_one():
-            return render_halflaurent(self.num)
-        return (f"({render_halflaurent(self.num)})/"
-                f"({render_halflaurent(self.den)})")
+        return scalar_text(self)
 
 
 def _to_halflaurent(x) -> HalfLaurent:
@@ -521,14 +515,6 @@ class RadScalar:
     def is_one(self) -> bool:
         return (len(self.terms) == 1 and self.terms[0][1] == ()
                 and self.terms[0][0].is_one())
-
-    def is_rational_part(self):
-        """The coefficient if radical-free, else None."""
-        if self.is_zero():
-            return FracScalar.zero()
-        if len(self.terms) == 1 and self.terms[0][1] == ():
-            return self.terms[0][0]
-        return None
 
     def _coerce(self, other):
         if isinstance(other, RadScalar):
@@ -628,20 +614,7 @@ class RadScalar:
         return f"RadScalar({self})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for c, rad in self.terms:
-            s = str(c)
-            if rad:
-                s = f"({s})*sqrt(" + "*".join(f"[{n}]" for n in rad) + ")"
-            parts.append(s)
-        return " + ".join(parts)
-
-
-def rad_normalize(x: RadScalar) -> RadScalar:
-    """Re-normalize a RadScalar (construction already normalizes; idempotent)."""
-    return RadScalar(list(x.terms))
+        return scalar_text(self)
 
 
 # ---------------------------------------------------------------------------
@@ -797,3 +770,35 @@ def render_halflaurent(x: HalfLaurent, lambda_one: bool = False) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def scalar_text(x, lambda_one: bool = False) -> str:
+    """Text form of a scalar-tower value; lambda_one renders it at p = q."""
+    if isinstance(x, (int, Fraction)):
+        return str(x)
+    if lambda_one:
+        x = scalar_lambda_one(x)
+    if isinstance(x, HalfLaurent):
+        return render_halflaurent(x, lambda_one)
+    if isinstance(x, FracScalar):
+        if x.den.is_one():
+            return render_halflaurent(x.num, lambda_one)
+        return (f"({render_halflaurent(x.num, lambda_one)})/"
+                f"({render_halflaurent(x.den, lambda_one)})")
+    if isinstance(x, RadScalar):
+        if x.is_zero():
+            return "0"
+        parts = []
+        for c, rad in x.terms:
+            s = scalar_text(c, lambda_one)
+            if rad:
+                if s == "1":
+                    s = ""
+                elif "+" in s or " - " in s or "/" in s:
+                    s = f"({s})*"
+                else:
+                    s += "*"
+                s += "sqrt(" + "*".join(f"[{n}]" for n in rad) + ")"
+            parts.append(s)
+        return " + ".join(parts)
+    raise TypeError(f"cannot render {type(x).__name__}")
