@@ -62,8 +62,9 @@ def _collect(terms):
             acc.pop(atoms, None)
         else:
             acc[atoms] = cur
+    # atoms are unique dict keys, so they alone fix the order
     return tuple(sorted(((atoms, _coeff_key(c)) for atoms, c in acc.items()),
-                        key=lambda t: (t[0], str(t[1]))))
+                        key=lambda t: t[0]))
 
 
 @dataclass

@@ -5,6 +5,9 @@ Three layers, each closed under the operations the algebra engines need:
 * ``HalfLaurent``   -- Laurent polynomials in Q^(1/2) and lambda^(1/2) over
   the rationals.  Exponents are stored as integers counting *half* powers,
   so every exponent occurring in the T/L/R matrices is exactly representable.
+  A coefficient is stored as an ``int`` when it is integral and as a
+  ``Fraction`` (never one with denominator 1) only when it is not; almost
+  every coefficient the constructions produce is an integer.
 * ``FracScalar``    -- the fraction field of HalfLaurent.  There is no
   multivariate GCD; equality is decided by cross-multiplication, and a cheap
   exact-division attempt keeps fractions from growing.
@@ -32,11 +35,23 @@ class EvalError(ScalarError):
 # HalfLaurent
 
 
+def _div(a, b):
+    """Exact quotient of two rational coefficients, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
+
+
 class HalfLaurent:
     """Laurent polynomial in half powers of Q and lambda.
 
-    ``terms`` maps an exponent pair ``(u, v)`` to a nonzero Fraction; the
-    pair denotes the monomial Q^(u/2) * lambda^(v/2).
+    ``terms`` maps an exponent pair ``(u, v)`` to a nonzero rational
+    coefficient: an ``int`` when it is integral, else a ``Fraction`` whose
+    denominator is not 1.  The pair denotes the monomial
+    Q^(u/2) * lambda^(v/2).  The constructor enforces this, so arithmetic may
+    hand it any mix of ``int`` and ``Fraction``.
     """
 
     __slots__ = ("terms",)
@@ -45,7 +60,11 @@ class HalfLaurent:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                if type(c) is not int:
+                    if not isinstance(c, Fraction):
+                        c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
                     clean[key] = c
         object.__setattr__(self, "terms", clean)
@@ -54,11 +73,11 @@ class HalfLaurent:
 
     @staticmethod
     def const(c) -> "HalfLaurent":
-        return HalfLaurent({(0, 0): Fraction(c)})
+        return HalfLaurent({(0, 0): c})
 
     @staticmethod
     def monomial(coeff, qhalf: int, lhalf: int) -> "HalfLaurent":
-        return HalfLaurent({(int(qhalf), int(lhalf)): Fraction(coeff)})
+        return HalfLaurent({(int(qhalf), int(lhalf)): coeff})
 
     @staticmethod
     def zero() -> "HalfLaurent":
@@ -74,7 +93,7 @@ class HalfLaurent:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
+        return self.terms == {(0, 0): 1}
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -94,7 +113,7 @@ class HalfLaurent:
             return NotImplemented
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            nc = terms.get(key, Fraction(0)) + c
+            nc = terms.get(key, 0) + c
             if nc:
                 terms[key] = nc
             else:
@@ -123,7 +142,7 @@ class HalfLaurent:
         for (u1, v1), c1 in self.terms.items():
             for (u2, v2), c2 in other.terms.items():
                 key = (u1 + u2, v1 + v2)
-                nc = terms.get(key, Fraction(0)) + c1 * c2
+                nc = terms.get(key, 0) + c1 * c2
                 if nc:
                     terms[key] = nc
                 else:
@@ -149,7 +168,7 @@ class HalfLaurent:
         if not self.is_monomial():
             raise ScalarError("only monomials are invertible in HalfLaurent")
         ((u, v), c), = self.terms.items()
-        return HalfLaurent({(-u, -v): 1 / c})
+        return HalfLaurent({(-u, -v): _div(1, c)})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -190,11 +209,11 @@ class HalfLaurent:
             key = (lt_a[0] - lt_b[0], lt_a[1] - lt_b[1])
             if not (box[0] <= key[0] <= box[1] and box[2] <= key[1] <= box[3]):
                 return None
-            coeff = rem[lt_a] / cb
+            coeff = _div(rem[lt_a], cb)
             quo[key] = coeff
             for k, c in other.terms.items():
                 kk = (k[0] + key[0], k[1] + key[1])
-                nc = rem.get(kk, Fraction(0)) - coeff * c
+                nc = rem.get(kk, 0) - coeff * c
                 if nc:
                     rem[kk] = nc
                 else:
@@ -207,7 +226,7 @@ class HalfLaurent:
         terms = {}
         for (u, v), c in self.terms.items():
             key = (u, 0)
-            nc = terms.get(key, Fraction(0)) + c
+            nc = terms.get(key, 0) + c
             if nc:
                 terms[key] = nc
             else:
@@ -278,7 +297,7 @@ def qint(n: int, variable: str = "Q") -> HalfLaurent:
     terms = {}
     for i in range(n):
         e = n - 1 - 2 * i
-        terms[(bu * e, bv * e)] = Fraction(sign)
+        terms[(bu * e, bv * e)] = sign
     return HalfLaurent(terms)
 
 
@@ -320,7 +339,8 @@ class FracScalar:
                 num, den = quo, HalfLaurent.one()
             else:
                 lt = max(den.terms)
-                scale = HalfLaurent.monomial(1 / den.terms[lt], -lt[0], -lt[1])
+                scale = HalfLaurent.monomial(_div(1, den.terms[lt]),
+                                             -lt[0], -lt[1])
                 num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
