@@ -36,7 +36,8 @@ class EvalError(ScalarError):
 
 
 def _div(a, b):
-    """Exact quotient of two rational coefficients, never a float."""
+    """Exact quotient of two rational coefficients, never a float; an int
+    when both are ints and the division is exact."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
@@ -168,7 +169,7 @@ class HalfLaurent:
         if not self.is_monomial():
             raise ScalarError("only monomials are invertible in HalfLaurent")
         ((u, v), c), = self.terms.items()
-        return HalfLaurent({(-u, -v): _div(1, c)})
+        return HalfLaurent({(-u, -v): Fraction(1, c)})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -339,7 +340,7 @@ class FracScalar:
                 num, den = quo, HalfLaurent.one()
             else:
                 lt = max(den.terms)
-                scale = HalfLaurent.monomial(_div(1, den.terms[lt]),
+                scale = HalfLaurent.monomial(Fraction(1, den.terms[lt]),
                                              -lt[0], -lt[1])
                 num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
@@ -644,22 +645,24 @@ class RadScalar:
 class NumericParams:
     """A numeric parameter point (p, q) with derived Q = sqrt(pq), lam = sqrt(p/q).
 
-    Rejects non-generic points where some [n]_Q with n <= nmax nearly
-    vanishes, since exact identities are only claimed for generic parameters.
+    Rejects non-generic points, where Q - Q^-1 nearly vanishes, since exact
+    identities are only claimed for generic parameters.  For real Q > 0 that
+    is the only test needed: [n]_Q is a sum of powers of Q, never below 1, so
+    Q^n - Q^-n = (Q - Q^-1) * [n]_Q vanishes only where Q - Q^-1 does, and a
+    test at larger n rejects no further point.
     """
 
     __slots__ = ("p", "q", "Q", "lam")
 
-    def __init__(self, p, q, nmax: int = 9):
+    def __init__(self, p, q):
         p, q = float(p), float(q)
         if p <= 0 or q <= 0:
             raise ScalarError("parameters p, q must be positive")
         self.p, self.q = p, q
         self.Q = math.sqrt(p * q)
         self.lam = math.sqrt(p / q)
-        for n in range(1, nmax + 1):
-            if abs(self.Q ** n - self.Q ** (-n)) < 1e-9 * max(1.0, self.Q ** n):
-                raise ScalarError(f"non-generic parameters: [{n}]_Q ~ 0")
+        if abs(self.Q - self.Q ** -1) < 1e-9 * max(1.0, self.Q):
+            raise ScalarError("non-generic parameters: Q ~ 1")
 
     def __repr__(self):
         return f"NumericParams(p={self.p}, q={self.q})"

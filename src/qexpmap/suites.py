@@ -192,30 +192,17 @@ def _run_confluence(opts) -> list[CheckResult]:
     return results
 
 
-def random_points(count: int = 5, seed: int = 31415,
-                  nmax: int = 9) -> list[NumericParams]:
-    """Deterministically seeded (p, q) sample points at which no [n]_Q
-    with n <= nmax nearly vanishes."""
+def random_points(count: int = 5, seed: int = 31415) -> list[NumericParams]:
+    """Deterministically seeded generic (p, q) sample points."""
     rng = random.Random(seed)
     points = []
     while len(points) < count:
         try:
             points.append(NumericParams(rng.uniform(0.4, 2.5),
-                                        rng.uniform(0.4, 2.5), nmax))
+                                        rng.uniform(0.4, 2.5)))
         except ScalarError:
             continue
     return points
-
-
-def _largest_qint(opts) -> int:
-    """Largest n of a q-integer [n]_Q the identity suites build.
-
-    Spin j uses n <= 2j + 1.  The suites reach spin max_j (by default at
-    most 2), the comodule's j, and the fixed spin 1 of tprime-r and
-    quasitriangular.
-    """
-    j = max(opts.get("max_j", 2), opts.get("j") or 0, 1)
-    return int(2 * j) + 1
 
 
 def _specialize(check, params, idents, verdicts, points, tol) -> CheckResult:
@@ -246,8 +233,7 @@ def run_suite(name: str, **opts) -> list[CheckResult]:
         return _run_confluence(opts)
     if name in ("all", "specialize"):
         suites = IDENTITY_SUITES
-        points = random_points(opts.get("points", 5),
-                               nmax=max(9, _largest_qint(opts)))
+        points = random_points(opts.get("points", 5))
         tol = opts.get("tol", 1e-10)
     elif name in _BUILDERS:
         suites, points = (name,), None

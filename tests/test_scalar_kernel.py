@@ -1,0 +1,141 @@
+"""Property tests of the integer-coefficient scalar kernel against
+Fraction-only dict arithmetic; they need hypothesis (the ``test`` extra)."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from qexpmap.scalars import FracScalar, HalfLaurent
+
+# Stored coefficients are int when integral and a Fraction with denominator
+# != 1 otherwise; values match Fraction-only dict arithmetic.
+
+
+def assert_canonical(x):
+    for c in x.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c
+
+
+def fractions_of(d):
+    """The nonzero entries of a coefficient dict, as Fractions."""
+    return {k: Fraction(c) for k, c in d.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for (u1, v1), c1 in a.items():
+        for (u2, v2), c2 in b.items():
+            k = (u1 + u2, v1 + v2)
+            out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_divexact(a, b):
+    """Lex leading-term division bounded by the exponent box, as divexact."""
+    if not a:
+        return {}
+    if len(b) == 1:
+        ((bu, bv), cb), = b.items()
+        return {(u - bu, v - bv): c / cb for (u, v), c in a.items()}
+    lt_b = max(b)
+    box = (min(u for u, _ in a) - max(u for u, _ in b),
+           max(u for u, _ in a) - min(u for u, _ in b),
+           min(v for _, v in a) - max(v for _, v in b),
+           max(v for _, v in a) - min(v for _, v in b))
+    rem, quo = dict(a), {}
+    while rem:
+        lt_a = max(rem)
+        key = (lt_a[0] - lt_b[0], lt_a[1] - lt_b[1])
+        if not (box[0] <= key[0] <= box[1] and box[2] <= key[1] <= box[3]):
+            return None
+        quo[key] = coeff = rem[lt_a] / b[lt_b]
+        rem = ref_add(rem, ref_neg(ref_mul({key: coeff}, b)))
+    return quo
+
+
+# ints, non-integral Fractions and Fractions with denominator 1
+coeffs = st.one_of(st.integers(-9, 9),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                   st.integers(-9, 9).map(Fraction))
+term_dicts = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                             coeffs, max_size=4)
+nonzero_dicts = term_dicts.filter(lambda d: any(d.values()))
+
+
+class TestIntegerCoefficientKernel:
+    @settings(deadline=None)
+    @given(term_dicts, term_dicts)
+    def test_ring_ops_match_fraction_reference(self, a, b):
+        x, y = HalfLaurent(a), HalfLaurent(b)
+        fa, fb = fractions_of(a), fractions_of(b)
+        assert fractions_of(x.terms) == fa
+        for got, want in ((x + y, ref_add(fa, fb)),
+                          (x - y, ref_add(fa, ref_neg(fb))),
+                          (-x, ref_neg(fa)),
+                          (x * y, ref_mul(fa, fb))):
+            assert_canonical(got)
+            assert fractions_of(got.terms) == want
+
+    @settings(deadline=None)
+    @given(term_dicts, nonzero_dicts)
+    def test_divexact_matches_fraction_reference(self, a, b):
+        x, y = HalfLaurent(a), HalfLaurent(b)
+        fa, fb = fractions_of(a), fractions_of(b)
+        for num, fnum in ((x, fa), (x * y, ref_mul(fa, fb))):
+            got, want = num.divexact(y), ref_divexact(fnum, fb)
+            if want is None:
+                assert got is None
+            else:
+                assert_canonical(got)
+                assert fractions_of(got.terms) == want
+
+    @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+           coeffs.filter(bool))
+    def test_monomial_inverse(self, key, c):
+        inv = HalfLaurent({key: c}).inverse()
+        assert_canonical(inv)
+        assert fractions_of(inv.terms) == {(-key[0], -key[1]): 1 / Fraction(c)}
+
+    @settings(deadline=None)
+    @given(term_dicts, nonzero_dicts, term_dicts, nonzero_dicts)
+    def test_fracscalar_ops_match_fraction_reference(self, n1, d1, n2, d2):
+        x = FracScalar(HalfLaurent(n1), HalfLaurent(d1))
+        y = FracScalar(HalfLaurent(n2), HalfLaurent(d2))
+        fn1, fd1, fn2, fd2 = map(fractions_of, (n1, d1, n2, d2))
+        cross1, cross2 = ref_mul(fn1, fd2), ref_mul(fn2, fd1)
+        dd = ref_mul(fd1, fd2)
+        cases = [(x + y, ref_add(cross1, cross2), dd),
+                 (x - y, ref_add(cross1, ref_neg(cross2)), dd),
+                 (x * y, ref_mul(fn1, fn2), dd)]
+        if fn1:
+            cases.append((x.inverse(), fd1, fn1))
+        for got, num, den in cases:
+            assert_canonical(got.num)
+            assert_canonical(got.den)
+            # got.num / got.den == num / den, cross-multiplied
+            assert (ref_mul(fractions_of(got.num.terms), den)
+                    == ref_mul(num, fractions_of(got.den.terms)))
+
+    @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+           st.integers(-9, 9))
+    def test_int_and_fraction_coefficients_agree(self, key, c):
+        x, y = HalfLaurent({key: c}), HalfLaurent({key: Fraction(c)})
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x.terms == y.terms
+        assert all(type(v) is int for v in y.terms.values())

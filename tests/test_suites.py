@@ -72,38 +72,3 @@ def test_exact_failure_is_skipped_numerically(bogus, suite):
                         "confluence(apq,max_len=2)",
                         "confluence(uq,max_len=2)"}}
     assert set(results) == expected[suite]
-
-
-def test_random_points_check_genericity_up_to_nmax(monkeypatch):
-    seen = []
-    numeric_params = suites.NumericParams
-
-    def recording(p, q, nmax=9):
-        seen.append(nmax)
-        return numeric_params(p, q, nmax)
-
-    monkeypatch.setattr(suites, "NumericParams", recording)
-    points = suites.random_points(4, nmax=17)
-    assert len(points) == 4 and set(seen) == {17}
-    for pt in points:
-        for n in range(1, 18):
-            assert abs(pt.Q ** n - pt.Q ** -n) >= 1e-9 * max(1.0, pt.Q ** n)
-    # for real Q > 0 the n = 1 test rejects the widest interval around
-    # Q = 1, so a larger nmax keeps the default sample points
-    assert ([(pt.p, pt.q) for pt in points]
-            == [(pt.p, pt.q) for pt in suites.random_points(4)])
-
-
-@pytest.mark.parametrize("opts, nmax", [({}, 9), ({"max_j": Fraction(4)}, 9),
-                                        ({"max_j": Fraction(6)}, 13),
-                                        ({"j": Fraction(11, 2)}, 12)])
-def test_numeric_pass_scales_nmax_with_spin(bogus, monkeypatch, opts, nmax):
-    seen = []
-
-    def recording(count, seed=31415, nmax=9):
-        seen.append(nmax)
-        return []
-
-    monkeypatch.setattr(suites, "random_points", recording)
-    suites.run_suite("specialize", **opts)
-    assert seen == [nmax]
