@@ -183,7 +183,9 @@ def gamma_rep(j, z, norm: str = "symmetric") -> Rep:
 
     symmetric: ladder entries sqrt([j+-m][j+1-+m]), self-adjoint-looking.
     rational: (J+)_{m,m-1} = [j-m+1] = [j-k] and (J-)_{m,m+1} = [j+k],
-    related to the symmetric form by a diagonal change of basis.
+    related to the symmetric form by a diagonal change of basis: it is
+    D^-1 J_sym D with D = diag(sqrt([j+m]! [j-m]!)), the conjugation
+    opposite to the rational ladder of t_matrix_factorized.
     """
     j, z = Fraction(j), Fraction(z)
     if j < 0 or (2 * j).denominator != 1:

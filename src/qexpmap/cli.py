@@ -12,11 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import expmap, goldens
-from .algebra_a import a_parse
-from .algebra_u import u_parse
+from . import expmap, goldens, parser
+from .algebra_a import apq_presentation
+from .algebra_u import u_presentation
 from .render import render_matrix, render_poly
-from .rewrite import GuardExceeded, ParseError
+from .rewrite import GuardExceeded, ParseError, RewriteError
 from .scalars import ScalarError
 from .suites import SUITES, run_suite
 
@@ -89,9 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_normal_order(args) -> int:
-    parse = a_parse if args.algebra == "A" else u_parse
-    poly = parse(args.expr)
-    print(render_poly(poly, args.format))
+    pres = apq_presentation() if args.algebra == "A" else u_presentation()
+    try:
+        poly = parser.parse(args.expr, pres)
+    except RewriteError as exc:
+        # an invalid atom of the user's expression, such as b^-1 in A
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(render_poly(poly.normalized(), args.format))
     return EXIT_OK
 
 

@@ -41,7 +41,7 @@ def qexp(tsign: int, x: Matrix, one, bound: int = None) -> Matrix:
     if tsign not in (1, -1):
         raise ValueError("tsign must be +1 or -1")
     n_max = bound if bound is not None else x.nrows
-    result = Matrix.identity(x.nrows, one, _zero_like(one))
+    result = Matrix.identity(x.nrows, one, one - one)
     power = result
     for n in range(1, n_max + 1):
         power = power * x
@@ -52,10 +52,6 @@ def qexp(tsign: int, x: Matrix, one, bound: int = None) -> Matrix:
     if bound is None and not (power * x).is_zero():
         raise ArithmeticError("q-exponential of a non-nilpotent matrix")
     return result
-
-
-def _zero_like(one):
-    return one - one
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +128,33 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     The construction happens at charge z' = j, where the diagonal core is
     diag(a^(j+m) w^(j-m)); the general charge is restored by the group-like
     scaling factor D^(z-j) lambda^((z-j)(m-k)) on entry (m, k).
+
+    Both normalizations run this construction, each on its own ladder:
+    gamma_rep's for symmetric, and for rational the radical-free
+    D J_sym D^-1 with D = diag(sqrt([j+m]! [j-m]!)), that is
+    (J+)_{m,m-1} = [j+m] and (J-)_{m,m+1} = [j-m], the conjugation
+    opposite to gamma_rep's rational form.  The rational coefficients are
+    lifted to RadScalar at the end.
     """
     j, z = Fraction(j), Fraction(z)
     if norm not in ("symmetric", "rational"):
         raise ValueError(f"unknown normalization {norm!r}")
     pres = apq_presentation()
-    rep = gamma_rep(j, j, "symmetric")
+    rep = gamma_rep(j, j, norm)
+    mvals = rep.mvals
+    if norm == "rational":
+        def ladder(s):      # s = 1: J+, s = -1: J-
+            return Matrix.build(
+                rep.dim, rep.dim,
+                lambda r, c: FracScalar(qint(int(j + s * mvals[r])))
+                if c == r + s else FracScalar.zero())
+        rep = Rep(j, j, norm, ladder(1), ladder(-1))
     jp_hat, jm_hat = hatted(rep)
     coords = exponential_coordinates()
     beta, gamma, w = coords["beta"], coords["gamma"], coords["w"]
     one = NCPoly.one(pres)
 
     left = qexp(-1, jm_hat.map(lambda s: gamma * s), one)
-    mvals = rep.mvals
     a = agen("a")
     mid = Matrix.build(
         rep.dim, rep.dim,
@@ -153,39 +163,19 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     right = qexp(1, jp_hat.map(lambda s: beta * s), one)
     t = left * mid * right
 
-    for r in range(rep.dim):
-        for c in range(rep.dim):
-            for word in t[r, c].terms:
-                for g, e in word:
-                    if g == "D" or (g == "a" and e < 0):
-                        raise RewriteError(
-                            "factorized matrix entry kept a localized factor")
+    if any(g == "D" or (g == "a" and e < 0) for row in t.rows for x in row
+           for word in x.terms for g, e in word):
+        raise RewriteError("factorized matrix entry kept a localized factor")
 
-    def rescale(r, c, x):
-        factors = []
+    def rescale(r, c):
+        entry = t[r, c] * lam_pow(int(2 * (z - j) * (mvals[r] - mvals[c])))
         if z != j:
-            factors.append(NCPoly.gen(pres, "D", z - j))
-        shift = 2 * (z - j) * (mvals[r] - mvals[c])
-        entry = x * lam_pow(int(shift))
-        for f in factors:
-            entry = f * entry
+            entry = NCPoly.gen(pres, "D", z - j) * entry
+        if norm == "rational":
+            entry = entry.map_coeffs(lambda cf: RadScalar([(cf, ())]))
         return entry
 
-    t = Matrix.build(rep.dim, rep.dim, lambda r, c: rescale(r, c, t[r, c]))
-    if norm == "symmetric":
-        return t
-
-    # change of basis to the rational normalization: entry (m, k) picks up
-    # sqrt([j+m]![j-m]! / ([j+k]![j-k]!))
-    def conv(r, c):
-        m, k = mvals[r], mvals[c]
-        idx = (_fact_indices(j + m) + _fact_indices(j - m)
-               + _fact_indices(j + k) + _fact_indices(j - k))
-        den = qfact(int(j + k)) * qfact(int(j - k))
-        factor = RadScalar.sqrt_qints(idx, FracScalar(HalfLaurent.one(), den))
-        return t[r, c].map_coeffs(lambda cf: factor * cf)
-
-    return Matrix.build(rep.dim, rep.dim, conv)
+    return Matrix.build(rep.dim, rep.dim, rescale)
 
 
 def t_counit_identities(j, z, norm="rational") -> list[Identity]:

@@ -36,6 +36,12 @@ class TestNormalOrder:
         assert code == 2
         assert err
 
+    def test_non_invertible_power_exit_two(self, capsys):
+        code, out, err = run(capsys, "normal-order", "--algebra", "A", "b^-1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: negative power of non-invertible b"
+
     def test_guard_exit_three(self, capsys, monkeypatch):
         monkeypatch.setenv("QEXPMAP_GUARD", "2")
         code, _, err = run(capsys, "normal-order", "d^3*a^3")

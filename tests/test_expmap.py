@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +11,15 @@ from qexpmap.expmap import (comodule_identities, delta_l_identities, l_matrix,
                             t_matrix_closed, t_matrix_factorized,
                             tprime_r_identities)
 from qexpmap.matrices import Matrix
+from qexpmap.render import render_matrix
 from qexpmap.rewrite import NCPoly
+from qexpmap.scalars import FracScalar, RadScalar
 from qexpmap.suites import printed_r_half
 
 import oracles
 
 HALF = Fraction(1, 2)
+REFS = Path(__file__).parent / "refs"
 
 
 def assert_all(identities):
@@ -49,6 +53,28 @@ class TestTMatrices:
             rhs = t_matrix_factorized(j, z, norm)
             assert (lhs - rhs).is_zero(), f"(j={j}, z={z}, {norm})"
 
+    @pytest.mark.parametrize("j", [Fraction(2), Fraction(5, 2)],
+                             ids=["2j4", "2j5"])
+    def test_rational_factorized_at_higher_spin(self, j):
+        fact = t_matrix_factorized(j, j, "rational")
+        assert (t_matrix_closed(j, j, "rational") - fact).is_zero()
+        # every coefficient is lifted to a RadScalar with one term and an
+        # empty radicand, which keeps the JSON schema of the CLI output
+        for row in fact.rows:
+            for entry in row:
+                for coeff in entry.terms.values():
+                    assert isinstance(coeff, RadScalar)
+                    assert len(coeff.terms) == 1 and coeff.terms[0][1] == ()
+
+    def test_symmetric_factorized_bytes(self):
+        # tests/refs/ holds the renderings recorded with earlier code; at
+        # 2j = 5 they already tell the symmetric construction apart from
+        # a diagonal rescale of the rational one
+        t = t_matrix_factorized(Fraction(5, 2), Fraction(5, 2), "symmetric")
+        for fmt, suffix in (("text", "txt"), ("json", "json")):
+            ref = REFS / f"t_factorized_symmetric_2j5.{suffix}"
+            assert (render_matrix(t, fmt) + "\n").encode() == ref.read_bytes()
+
     def test_comodule_and_counit(self):
         for j, z in jz_grid(Fraction(3, 2)):
             assert_all(comodule_identities(j, z))
@@ -81,6 +107,44 @@ class TestRMatrices:
     def test_quasitriangular(self):
         assert_all(quasitriangular_identities(HALF, HALF, HALF, HALF))
         assert_all(quasitriangular_identities(HALF, HALF, 1, 1))
+
+
+def embed_pair(rmat, dims, p, q):
+    """A matrix on legs (p, q) of a three-leg space, as the identity on the
+    third leg: the leg permutation that puts p and q side by side."""
+    other = 3 - p - q
+
+    def legs(i):
+        i1, rest = divmod(i, dims[1] * dims[2])
+        return (i1,) + divmod(rest, dims[2])
+
+    def entry(r, c):
+        a, b = legs(r), legs(c)
+        if a[other] != b[other]:
+            return FracScalar.zero()
+        return rmat[a[p] * dims[q] + a[q], b[p] * dims[q] + b[q]]
+
+    n = dims[0] * dims[1] * dims[2]
+    return Matrix.build(n, n, entry)
+
+
+class TestYangBaxter:
+    @pytest.mark.parametrize("charge", ["0", "j"])
+    @pytest.mark.parametrize("spins", [
+        (HALF, HALF, HALF), (HALF, HALF, Fraction(1)),
+        (HALF, Fraction(1), Fraction(1)),
+        (HALF, Fraction(1), Fraction(3, 2))],
+        ids=["half-half-half", "half-half-1", "half-1-1", "half-1-3half"])
+    def test_r12_r13_r23(self, spins, charge):
+        charges = spins if charge == "j" else (Fraction(0),) * 3
+        dims = [int(2 * j) + 1 for j in spins]
+
+        def r(p, q):
+            return embed_pair(r_matrix_rep(spins[p], charges[p],
+                                           spins[q], charges[q]), dims, p, q)
+
+        r12, r13, r23 = r(0, 1), r(0, 2), r(1, 2)
+        assert (r12 * r13 * r23 - r23 * r13 * r12).is_zero()
 
 
 class TestLMatrices:
