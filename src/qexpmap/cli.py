@@ -12,9 +12,10 @@ import json
 import sys
 from fractions import Fraction
 
-from . import expmap, goldens, parser
+from . import expmap, goldens
 from .algebra_a import apq_presentation
 from .algebra_u import u_presentation
+from .parser import parse
 from .render import render_matrix, render_poly
 from .rewrite import GuardExceeded, ParseError, RewriteError
 from .scalars import ScalarError
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_normal_order(args) -> int:
     pres = apq_presentation() if args.algebra == "A" else u_presentation()
     try:
-        poly = parser.parse(args.expr, pres)
+        poly = parse(args.expr, pres)
     except RewriteError as exc:
         # an invalid atom of the user's expression, such as b^-1 in A
         print(f"error: {exc}", file=sys.stderr)
