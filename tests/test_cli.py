@@ -8,6 +8,15 @@ from qexpmap.cli import main
 from qexpmap.rewrite import NCPoly
 
 
+LATEX_CALLS = (
+    "tmatrix --j 3/2 --z 1",
+    "tmatrix --j 3/2 --z 1 --form factorized",
+    "lmatrix --sign - --j 1",
+    "rmatrix --j1 1/2 --z1 1/2 --j2 1 --z2 1/2",
+    "normal-order --algebra U e^2*f^2",
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -92,6 +101,18 @@ class TestMatrixCommands:
         assert code == 0
         assert out.startswith(r"\left(\begin{array}{ccc}")
         assert r"\sqrt{[2]}" in out
+
+    def test_latex_bytes_match_reference(self, capsys):
+        # tests/refs/render_latex.txt holds these calls' stdout, each after
+        # a "% qexpmap <args>" line, recorded with earlier code; together
+        # they print \frac, \sqrt, {\cal D}, \lambda and half exponents
+        got = []
+        for args in LATEX_CALLS:
+            code, out, _ = run(capsys, *args.split(), "--format", "latex")
+            assert code == 0
+            got.append(f"% qexpmap {args}\n{out}")
+        ref = Path(__file__).parent / "refs" / "render_latex.txt"
+        assert "".join(got).encode() == ref.read_bytes()
 
     def test_bad_spin_exit_two(self, capsys):
         code, _, err = run(capsys, "tmatrix", "--j", "1/3", "--z", "0")

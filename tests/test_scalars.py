@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from qexpmap.matrices import Matrix
+from qexpmap.render import render_matrix
 from qexpmap.scalars import (FracScalar, HalfLaurent, NumericParams,
                              Q_pow, RadScalar, ScalarError, eval_numeric,
                              lam_pow, p_pow, q_pow, qfact, qint,
@@ -126,6 +128,21 @@ class TestRadScalar:
     def test_json_roundtrip(self):
         x = RadScalar.sqrt_qints([2, 3]) + RadScalar.sqrt_qints([5], 2)
         assert RadScalar.from_json(x.to_json()) == x
+
+    def test_radical_coefficient_rendering(self):
+        # how a coefficient sits in front of a radical differs by format;
+        # no rendered matrix puts -1 before a LaTeX radical, so pin it here
+        coeffs = (1, -1, 2, Q_pow(-2) + Q_pow(2))
+        row = [RadScalar.sqrt_qints([2, 3], c) for c in coeffs]
+        m = Matrix.build(1, len(row), lambda r, c: row[c])
+        assert render_matrix(m, "text") == (
+            "[sqrt([2]*[3]), -1*sqrt([2]*[3]), 2*sqrt([2]*[3]), "
+            "(Q + Q^-1)*sqrt([2]*[3])]")
+        assert render_matrix(m, "latex") == (
+            r"\left(\begin{array}{cccc}" "\n"
+            r"\sqrt{[2][3]} & -\sqrt{[2][3]} & (2)\sqrt{[2][3]} & "
+            r"(Q + Q^{-1})\sqrt{[2][3]}" "\n"
+            r"\end{array}\right)")
 
 
 class TestNumericParams:
