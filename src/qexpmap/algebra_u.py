@@ -14,8 +14,8 @@ from functools import lru_cache
 from . import parser
 from .matrices import Matrix
 from .reporting import Identity
-from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, embed_leg,
-                      hom_apply, tensor_square)
+from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, hom_apply,
+                      tensor_square)
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, ScalarError,
                       lift_scalar, qint, scalar_lambda_one, scalar_level)
 
@@ -126,10 +126,9 @@ class Rep:
     """A finite-dimensional weight representation.
 
     Rows and columns are indexed by the weights m = j, j-1, ..., -j.
-    Jplus/Jminus are the ladder matrices, J0 the weight and Z the central
-    charge (scalar z times the identity).  ``norm`` records whether ladder
-    entries are square roots of q-integers ("symmetric") or plain
-    q-integers ("rational").
+    Jplus/Jminus are the ladder matrices, J0 the weight and z the central
+    charge.  ``norm`` records whether ladder entries are square roots of
+    q-integers ("symmetric") or plain q-integers ("rational").
     """
 
     def __init__(self, j, z, norm, Jplus, Jminus):
@@ -143,9 +142,6 @@ class Rep:
             self.dim, self.dim,
             lambda r, c: FracScalar(self.mvals[r]) if r == c
             else FracScalar.zero())
-        self.Z = Matrix.build(
-            self.dim, self.dim,
-            lambda r, c: FracScalar(self.z) if r == c else FracScalar.zero())
 
     @property
     def dim(self) -> int:
@@ -168,14 +164,18 @@ class Rep:
             self.dim, self.dim,
             lambda r, c: fn(self.mvals[r]) if r == c else self.zero_entry())
 
-    def to_json(self):
-        from .scalars import scalar_to_json
-        enc = lambda M: M.to_json(scalar_to_json)
-        return {"j": f"{self.j.numerator}/{self.j.denominator}",
-                "z": f"{self.z.numerator}/{self.z.denominator}",
-                "norm": self.norm,
-                "Jplus": enc(self.Jplus), "Jminus": enc(self.Jminus),
-                "J0": enc(self.J0), "Z": enc(self.Z)}
+
+def spin_params(j, z, norm: str):
+    """j and z as Fractions, once they name a spin-j representation of
+    central charge z in a known normalization; ValueError otherwise."""
+    j, z = Fraction(j), Fraction(z)
+    if j < 0 or (2 * j).denominator != 1:
+        raise ValueError(f"spin j must be a non-negative half-integer, got {j}")
+    if (2 * (z - j)).denominator != 1:
+        raise ValueError("charge z must differ from j by a half-integer")
+    if norm not in ("symmetric", "rational"):
+        raise ValueError(f"unknown normalization {norm!r}")
+    return j, z
 
 
 def gamma_rep(j, z, norm: str = "symmetric") -> Rep:
@@ -187,13 +187,7 @@ def gamma_rep(j, z, norm: str = "symmetric") -> Rep:
     D^-1 J_sym D with D = diag(sqrt([j+m]! [j-m]!)), the conjugation
     opposite to the rational ladder of t_matrix_factorized.
     """
-    j, z = Fraction(j), Fraction(z)
-    if j < 0 or (2 * j).denominator != 1:
-        raise ValueError(f"spin j must be a non-negative half-integer, got {j}")
-    if (2 * (z - j)).denominator != 1:
-        raise ValueError(f"charge z must differ from j by a half-integer")
-    if norm not in ("symmetric", "rational"):
-        raise ValueError(f"unknown normalization {norm!r}")
+    j, z = spin_params(j, z, norm)
     dim = int(2 * j) + 1
     mvals = [j - i for i in range(dim)]
 

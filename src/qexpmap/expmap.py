@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .algebra_a import (a_parse, agen, apq_presentation, coproduct, counit,
                         exponential_coordinates)
-from .algebra_u import (Rep, gamma_rep, hatted, pi_apply, u_coproduct,
-                        u_parse, u_presentation, u_rep_apply)
+from .algebra_u import (Rep, gamma_rep, hatted, pi_apply, spin_params,
+                        u_coproduct, u_parse, u_presentation, u_rep_apply)
 from .matrices import Matrix
 from .reporting import Identity
 from .rewrite import NCPoly, RewriteError, embed_leg, tensor_square
@@ -32,7 +32,7 @@ def _fact_indices(n: int):
     return list(range(2, int(n) + 1))
 
 
-def qexp(tsign: int, x: Matrix, one, bound: int = None) -> Matrix:
+def qexp(tsign: int, x: Matrix, one) -> Matrix:
     """q-exponential E_{t^2}(x) = sum_n t^(-n(n-1)/2) x^n / [n]_t! for
     t = Q (tsign=+1) or t = Q^-1 (tsign=-1), of a nilpotent matrix.
 
@@ -40,29 +40,21 @@ def qexp(tsign: int, x: Matrix, one, bound: int = None) -> Matrix:
     """
     if tsign not in (1, -1):
         raise ValueError("tsign must be +1 or -1")
-    n_max = bound if bound is not None else x.nrows
     result = Matrix.identity(x.nrows, one, one - one)
     power = result
-    for n in range(1, n_max + 1):
+    for n in range(1, x.nrows + 1):
         power = power * x
         if power.is_zero():
             return result
         coeff = FracScalar(Q_pow(-tsign * n * (n - 1)), qfact(n))
         result = result + power * coeff
-    if bound is None and not (power * x).is_zero():
+    if not (power * x).is_zero():
         raise ArithmeticError("q-exponential of a non-nilpotent matrix")
     return result
 
 
 # ---------------------------------------------------------------------------
 # the exponentiated coordinate matrices
-
-
-def _spin_indices(j: Fraction):
-    j = Fraction(j)
-    if j < 0 or (2 * j).denominator != 1:
-        raise ValueError(f"spin j must be a non-negative half-integer, got {j}")
-    return [j - i for i in range(int(2 * j) + 1)]
 
 
 def _closed_prefactor(j, m, k, norm):
@@ -85,13 +77,9 @@ def t_matrix_closed(j, z, norm: str = "symmetric") -> Matrix:
 
     with P_mk the normalization prefactor.
     """
-    j, z = Fraction(j), Fraction(z)
-    if (2 * (z - j)).denominator != 1:
-        raise ValueError("charge z must differ from j by a half-integer")
-    if norm not in ("symmetric", "rational"):
-        raise ValueError(f"unknown normalization {norm!r}")
+    j, z = spin_params(j, z, norm)
     pres = apq_presentation()
-    mvals = _spin_indices(j)
+    mvals = [j - i for i in range(int(2 * j) + 1)]
 
     def entry(r, c):
         m, k = mvals[r], mvals[c]
@@ -136,9 +124,7 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     opposite to gamma_rep's rational form.  The rational coefficients are
     lifted to RadScalar at the end.
     """
-    j, z = Fraction(j), Fraction(z)
-    if norm not in ("symmetric", "rational"):
-        raise ValueError(f"unknown normalization {norm!r}")
+    j, z = spin_params(j, z, norm)
     pres = apq_presentation()
     rep = gamma_rep(j, j, norm)
     mvals = rep.mvals
@@ -187,21 +173,28 @@ def t_counit_identities(j, z, norm="rational") -> list[Identity]:
     return [Identity(f"counit(T^({j};{z}))=id", lhs, rhs)]
 
 
-def comodule_identities(j, z, norm="rational") -> list[Identity]:
-    """Delta(T_ik) = sum_l T_il (x) T_lk, entry by entry."""
-    t = t_matrix_closed(j, z, norm)
-    pres = apq_presentation()
+def _coproduct_identities(mat: Matrix, delta, pres, label) -> list[Identity]:
+    """Delta(M_ik) = sum_l M_il (x) M_lk, entry by entry, for a square
+    matrix over pres whose coproduct is delta; label(i, k) names each."""
     t2 = tensor_square(pres)
-    dim = t.nrows
+    dim = mat.nrows
     idents = []
     for i in range(dim):
         for k in range(dim):
-            lhs = coproduct(t[i, k])
+            lhs = delta(mat[i, k])
             rhs = NCPoly.zero(t2)
             for l in range(dim):
-                rhs = rhs + embed_leg(t[i, l], t2, 1) * embed_leg(t[l, k], t2, 2)
-            idents.append(Identity(f"Delta(T^({j};{z})[{i},{k}])", lhs, rhs))
+                rhs = rhs + (embed_leg(mat[i, l], t2, 1)
+                             * embed_leg(mat[l, k], t2, 2))
+            idents.append(Identity(label(i, k), lhs, rhs))
     return idents
+
+
+def comodule_identities(j, z, norm="rational") -> list[Identity]:
+    """Delta(T_ik) = sum_l T_il (x) T_lk, entry by entry."""
+    return _coproduct_identities(
+        t_matrix_closed(j, z, norm), coproduct, apq_presentation(),
+        lambda i, k: f"Delta(T^({j};{z})[{i},{k}])")
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +342,9 @@ def rll_identities(j, norm: str = "rational") -> list[Identity]:
 
 def delta_l_identities(sign: str, j, norm: str = "rational") -> list[Identity]:
     """Delta(L_ik) = sum_l L_il (x) L_lk."""
-    lmat = l_matrix(sign, j, norm)
-    pres = u_presentation()
-    t2 = tensor_square(pres)
-    idents = []
-    for i in range(lmat.nrows):
-        for k in range(lmat.ncols):
-            lhs = u_coproduct(lmat[i, k])
-            rhs = NCPoly.zero(t2)
-            for l in range(lmat.nrows):
-                rhs = rhs + (embed_leg(lmat[i, l], t2, 1)
-                             * embed_leg(lmat[l, k], t2, 2))
-            idents.append(Identity(f"Delta(L^{sign}({j})[{i},{k}])", lhs, rhs))
-    return idents
+    return _coproduct_identities(
+        l_matrix(sign, j, norm), u_coproduct, u_presentation(),
+        lambda i, k: f"Delta(L^{sign}({j})[{i},{k}])")
 
 
 def pi_t_vs_r_identities(j, norm: str = "rational") -> list[Identity]:

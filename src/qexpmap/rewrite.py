@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 
 from .scalars import (FracScalar, HalfLaurent, scalar_is_zero, scalar_to_json,
-                      scalar_from_json, scalar_text, NumericParams,
+                      scalar_from_json, NumericParams,
                       eval_numeric)
 
 ORDINARY = "ordinary"
@@ -378,9 +378,6 @@ class NCPoly:
     def normalized(self) -> "NCPoly":
         return NCPoly(self.pres, [(c, w) for w, c in self.terms.items()])
 
-    def uses(self, name) -> bool:
-        return any(g == name for w in self.terms for g, _ in w)
-
     def map_coeffs(self, fn) -> "NCPoly":
         out = NCPoly(self.pres, {}, normalize=False)
         mapped = ((w, fn(c)) for w, c in self.terms.items())
@@ -427,30 +424,8 @@ class NCPoly:
         return NCPoly(pres, raw)
 
     def __str__(self):
-        """Text form; coefficients over a lambda-one presentation are
-        rendered with p = q identified."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word in sorted(self.terms, key=lambda w: _word_sort_key(self.pres, w)):
-            wstr = "*".join(g if e == 1 else f"{g}^{e}" for g, e in word)
-            cstr = scalar_text(self.terms[word], self.pres.lambda_one)
-            if wstr:
-                if cstr == "1":
-                    pieces.append(wstr)
-                elif cstr == "-1":
-                    pieces.append(f"-{wstr}")
-                else:
-                    if ("+" in cstr or " - " in cstr or "/" in cstr) \
-                            and not (cstr.startswith("(") and cstr.endswith(")")):
-                        cstr = f"({cstr})"
-                    pieces.append(f"{cstr}*{wstr}")
-            else:
-                pieces.append(cstr if "+" not in cstr else f"({cstr})")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        from .render import poly_str
+        return poly_str(self)
 
     def __repr__(self):
         return f"NCPoly<{self.pres.name}>({self})"
@@ -472,41 +447,31 @@ def leg_name(g: str, leg: int) -> str:
 _TENSOR_CACHE = {}
 
 
-def tensor_power(pres: Presentation, n: int) -> Presentation:
-    """n-fold tensor power: one renamed copy of the presentation per leg,
-    legs mutually commuting, leg-1 generators first."""
-    cached = _TENSOR_CACHE.get((id(pres), n))
+def tensor_square(pres: Presentation) -> Presentation:
+    """Tensor square: one renamed copy of the presentation per leg, the
+    legs commuting, leg-1 generators first."""
+    cached = _TENSOR_CACHE.get(id(pres))
     if cached is not None:
         return cached
-    gens = []
-    for leg in range(1, n + 1):
-        for g, k in pres.generators:
-            gens.append((leg_name(g, leg), k))
+    legs = (1, 2)
+    gens = [(leg_name(g, leg), k) for leg in legs for g, k in pres.generators]
     rules = {}
-    ordinaries = [(g, k) for g, k in pres.generators if k != SCALING]
-    for leg in range(1, n + 1):
+    for leg in legs:
         for (hi, lo), (kappa, corr) in pres.rules.items():
             new_corr = tuple(
                 (c, tuple((leg_name(g, leg), e) for g, e in w)) for c, w in corr)
             rules[(leg_name(hi, leg), leg_name(lo, leg))] = (kappa, new_corr)
     one = FracScalar.one()
-    for l2 in range(2, n + 1):
-        for l1 in range(1, l2):
-            for hi, _ in ordinaries:
-                for lo, _ in ordinaries:
-                    rules[(leg_name(hi, l2), leg_name(lo, l1))] = (one, ())
-    scaling = {}
-    for (s, x), mu in pres.scaling.items():
-        for leg in range(1, n + 1):
-            scaling[(leg_name(s, leg), leg_name(x, leg))] = mu
-    out = Presentation(f"{pres.name}^x{n}", gens, rules, scaling,
+    ordinaries = [g for g, k in pres.generators if k != SCALING]
+    for hi in ordinaries:
+        for lo in ordinaries:
+            rules[(leg_name(hi, 2), leg_name(lo, 1))] = (one, ())
+    scaling = {(leg_name(s, leg), leg_name(x, leg)): mu
+               for (s, x), mu in pres.scaling.items() for leg in legs}
+    out = Presentation(f"{pres.name}^x2", gens, rules, scaling,
                        lambda_one=pres.lambda_one)
-    _TENSOR_CACHE[(id(pres), n)] = out
+    _TENSOR_CACHE[id(pres)] = out
     return out
-
-
-def tensor_square(pres: Presentation) -> Presentation:
-    return tensor_power(pres, 2)
 
 
 def embed_leg(poly: NCPoly, target: Presentation, leg: int) -> NCPoly:
@@ -533,8 +498,8 @@ def split_legs(word, nlegs: int):
 # algebra homomorphisms
 
 
-def hom_apply(poly: NCPoly, target: Presentation, images, scaling_images=None,
-              on_missing=None) -> NCPoly:
+def hom_apply(poly: NCPoly, target: Presentation, images,
+              scaling_images=None) -> NCPoly:
     """Extend a generator assignment to an algebra map.
 
     images: ordinary generator -> NCPoly over target; negative exponents
@@ -553,8 +518,6 @@ def hom_apply(poly: NCPoly, target: Presentation, images, scaling_images=None,
                 factor = factor * NCPoly(target, [(1, atoms)])
                 continue
             if g not in images:
-                if on_missing:
-                    on_missing(g)
                 raise RewriteError(f"no image for generator {g}")
             img = images[g]
             e = Fraction(e)

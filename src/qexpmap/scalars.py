@@ -258,10 +258,11 @@ class HalfLaurent:
         return HalfLaurent(terms)
 
     def __repr__(self):
-        return f"HalfLaurent({render_halflaurent(self)})"
+        return f"HalfLaurent({self})"
 
     def __str__(self):
-        return render_halflaurent(self)
+        from .render import scalar_str
+        return scalar_str(self)
 
 
 # convenient monomial builders: p = Q*lambda, q = Q/lambda
@@ -360,9 +361,6 @@ class FracScalar:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def is_monomial(self) -> bool:
-        return self.num.is_monomial() and self.den.is_monomial()
-
     def _coerce(self, other):
         if isinstance(other, FracScalar):
             return other
@@ -460,7 +458,8 @@ class FracScalar:
         return f"FracScalar({self})"
 
     def __str__(self):
-        return scalar_text(self)
+        from .render import scalar_str
+        return scalar_str(self)
 
 
 def _to_halflaurent(x) -> HalfLaurent:
@@ -635,7 +634,8 @@ class RadScalar:
         return f"RadScalar({self})"
 
     def __str__(self):
-        return scalar_text(self)
+        from .render import scalar_str
+        return scalar_str(self)
 
 
 # ---------------------------------------------------------------------------
@@ -736,92 +736,3 @@ def scalar_from_json(data):
             return RadScalar.from_json(data)
         return HalfLaurent.from_json(data)
     raise ValueError(f"unrecognized scalar JSON: {data!r}")
-
-
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def _render_exp(half: int) -> str:
-    f = Fraction(half, 2)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _render_mono(u: int, v: int, lambda_one: bool = False) -> str:
-    if lambda_one:
-        # p and q coincide, so Q = q; render powers of q directly
-        if u == 0:
-            return "1"
-        return "q" if u == 2 else f"q^{_render_exp(u)}"
-    if u == 0 and v == 0:
-        return "1"
-    # prefer p/q form when both exponents are integral
-    x, y = Fraction(u + v, 4), Fraction(u - v, 4)
-    factors = []
-    if x.denominator == 1 and y.denominator == 1:
-        if x:
-            factors.append("p" if x == 1 else f"p^{x}")
-        if y:
-            factors.append("q" if y == 1 else f"q^{y}")
-    else:
-        if u:
-            factors.append("Q" if u == 2 else f"Q^{_render_exp(u)}")
-        if v:
-            factors.append("lambda" if v == 2 else f"lambda^{_render_exp(v)}")
-    return "*".join(factors) if factors else "1"
-
-
-def render_halflaurent(x: HalfLaurent, lambda_one: bool = False) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for (u, v) in sorted(x.terms, reverse=True):
-        c = x.terms[(u, v)]
-        mono = _render_mono(u, v, lambda_one)
-        if mono == "1":
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def scalar_text(x, lambda_one: bool = False) -> str:
-    """Text form of a scalar-tower value; lambda_one renders it at p = q."""
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    if lambda_one:
-        x = scalar_lambda_one(x)
-    if isinstance(x, HalfLaurent):
-        return render_halflaurent(x, lambda_one)
-    if isinstance(x, FracScalar):
-        if x.den.is_one():
-            return render_halflaurent(x.num, lambda_one)
-        return (f"({render_halflaurent(x.num, lambda_one)})/"
-                f"({render_halflaurent(x.den, lambda_one)})")
-    if isinstance(x, RadScalar):
-        if x.is_zero():
-            return "0"
-        parts = []
-        for c, rad in x.terms:
-            s = scalar_text(c, lambda_one)
-            if rad:
-                if s == "1":
-                    s = ""
-                elif "+" in s or " - " in s or "/" in s:
-                    s = f"({s})*"
-                else:
-                    s += "*"
-                s += "sqrt(" + "*".join(f"[{n}]" for n in rad) + ")"
-            parts.append(s)
-        return " + ".join(parts)
-    raise TypeError(f"cannot render {type(x).__name__}")

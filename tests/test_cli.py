@@ -118,6 +118,13 @@ class TestMatrixCommands:
         code, _, err = run(capsys, "tmatrix", "--j", "1/3", "--z", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("form", ["closed", "factorized"])
+    def test_bad_charge_exit_two(self, capsys, form):
+        code, _, err = run(capsys, "tmatrix", "--j", "1", "--z", "1/3",
+                           "--form", form)
+        assert code == 2
+        assert err == "error: charge z must differ from j by a half-integer\n"
+
     def test_lmatrix(self, capsys):
         code, out, _ = run(capsys, "lmatrix", "--sign", "+", "--j", "1")
         assert code == 0
