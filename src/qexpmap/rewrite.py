@@ -475,7 +475,7 @@ def tensor_square(pres: Presentation) -> Presentation:
 
 
 def embed_leg(poly: NCPoly, target: Presentation, leg: int) -> NCPoly:
-    """Embed x as 1 x ... x x ... x 1 into a tensor power presentation."""
+    """Embed x as x (x) 1 (leg 1) or 1 (x) x (leg 2) in a tensor square."""
     raw = [(c, tuple((leg_name(g, leg), e) for g, e in w))
            for w, c in poly.terms.items()]
     return NCPoly(target, raw)
