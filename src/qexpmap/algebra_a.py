@@ -13,7 +13,7 @@ from functools import lru_cache
 from . import parser
 from .reporting import Identity
 from .rewrite import (INVERTIBLE, ORDINARY, SCALING, NCPoly, Presentation,
-                      embed_leg, hom_apply, scalar_hom, tensor_square)
+                      hom_apply, scalar_hom, tensor, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, lam_pow, p_pow, q_pow)
 
 
@@ -137,11 +137,9 @@ def qdet_identities() -> list[Identity]:
     idents.append(Identity("qdet.scaling.D^1/2",
                            det * agen("D", Fraction(1, 2)),
                            agen("D", Fraction(1, 2)) * det))
-    t2 = tensor_square(pres)
     idents.append(Identity(
         "qdet.grouplike",
-        coproduct(det),
-        embed_leg(det, t2, 1) * embed_leg(det, t2, 2)))
+        coproduct(det), tensor(det, det, tensor_square(pres))))
     idents.append(Identity(
         "qdet.counit",
         NCPoly.scalar(pres, counit(det)), NCPoly.one(pres)))

@@ -22,7 +22,7 @@ from .algebra_u import (Rep, gamma_rep, hatted, pi_apply, spin_params,
                         u_coproduct, u_parse, u_presentation, u_rep_apply)
 from .matrices import Matrix
 from .reporting import Identity
-from .rewrite import NCPoly, RewriteError, embed_leg, tensor_square
+from .rewrite import NCPoly, RewriteError, tensor, tensor_square
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, lam_pow,
                       qfact, qint)
 
@@ -184,8 +184,7 @@ def _coproduct_identities(mat: Matrix, delta, pres, label) -> list[Identity]:
             lhs = delta(mat[i, k])
             rhs = NCPoly.zero(t2)
             for l in range(dim):
-                rhs = rhs + (embed_leg(mat[i, l], t2, 1)
-                             * embed_leg(mat[l, k], t2, 2))
+                rhs = rhs + tensor(mat[i, l], mat[l, k], t2)
             idents.append(Identity(label(i, k), lhs, rhs))
     return idents
 

@@ -28,7 +28,7 @@ DEFAULT_GUARD = 10 ** 6
 def term_guard() -> int:
     """The term-count guard: QEXPMAP_GUARD if set, else DEFAULT_GUARD.
 
-    Raises ValueError naming the variable unless it is a positive integer.
+    Raises UsageError naming the variable unless it is a positive integer.
     """
     text = os.environ.get("QEXPMAP_GUARD")
     if text is None:
@@ -38,7 +38,7 @@ def term_guard() -> int:
     except ValueError:
         guard = 0
     if guard < 1:
-        raise ValueError(
+        raise UsageError(
             f"QEXPMAP_GUARD must be a positive integer, got {text!r}")
     return guard
 
@@ -51,7 +51,12 @@ class GuardExceeded(RewriteError):
     """A single normal ordering generated more intermediate terms than allowed."""
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """Invalid input from outside the program: an expression, a spin or
+    charge, a suite name or the QEXPMAP_GUARD setting."""
+
+
+class ParseError(UsageError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
         self.pos = pos
@@ -238,7 +243,9 @@ class NCPoly:
     """Finite scalar-weighted sum of words over a presented algebra.
 
     Words are tuples of (generator, exponent).  Unless ``normalize=False``
-    is requested (the parser uses it), terms are kept in PBW normal form.
+    is requested (the parser uses it), terms are kept in PBW normal form;
+    arithmetic relies on that, so a raw polynomial is ``normalized()``
+    first.
     """
 
     __slots__ = ("pres", "terms")
@@ -271,13 +278,21 @@ class NCPoly:
 
     # -- constructors
 
+    @classmethod
+    def _from_normal(cls, pres, terms) -> "NCPoly":
+        """Wrap a dict of normal words with nonzero coefficients as is."""
+        out = object.__new__(cls)
+        out.pres = pres
+        out.terms = terms
+        return out
+
     @staticmethod
     def zero(pres) -> "NCPoly":
-        return NCPoly(pres, {})
+        return NCPoly._from_normal(pres, {})
 
     @staticmethod
     def scalar(pres, c) -> "NCPoly":
-        return NCPoly(pres, [(c, ())], normalize=False)
+        return NCPoly._from_normal(pres, {} if scalar_is_zero(c) else {(): c})
 
     @staticmethod
     def one(pres) -> "NCPoly":
@@ -311,16 +326,13 @@ class NCPoly:
                 terms.pop(w, None)
             else:
                 terms[w] = acc
-        out = NCPoly(self.pres, {}, normalize=False)
-        out.terms = terms
-        return out
+        return NCPoly._from_normal(self.pres, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NCPoly(self.pres, {}, normalize=False)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
+        return NCPoly._from_normal(
+            self.pres, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -330,11 +342,16 @@ class NCPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        raw = []
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                raw.append((c1 * c2, w1 + w2))
-        return NCPoly(self.pres, raw)
+        raw = [(c1 * c2, w1 + w2) for w1, c1 in self.terms.items()
+               for w2, c2 in other.terms.items()]
+        if self.terms.keys() <= {()} or other.terms.keys() <= {()}:
+            # a scalar operand leaves the other's words normal and distinct;
+            # reversed is the order normal ordering would give them, which
+            # later sums of FracScalars need for their bytes
+            terms = {w: c for c, w in reversed(raw) if not scalar_is_zero(c)}
+        else:
+            terms = normal_order_terms(self.pres, raw)
+        return NCPoly._from_normal(self.pres, terms)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -379,10 +396,9 @@ class NCPoly:
         return NCPoly(self.pres, [(c, w) for w, c in self.terms.items()])
 
     def map_coeffs(self, fn) -> "NCPoly":
-        out = NCPoly(self.pres, {}, normalize=False)
         mapped = ((w, fn(c)) for w, c in self.terms.items())
-        out.terms = {w: c for w, c in mapped if not scalar_is_zero(c)}
-        return out
+        return NCPoly._from_normal(
+            self.pres, {w: c for w, c in mapped if not scalar_is_zero(c)})
 
     def eval_coeffs(self, params: NumericParams):
         """Numeric coefficient map {word: float} at a parameter point."""
@@ -444,6 +460,10 @@ def leg_name(g: str, leg: int) -> str:
     return f"{g}@{leg}"
 
 
+def _on_leg(word, leg: int):
+    return tuple((leg_name(g, leg), e) for g, e in word)
+
+
 _TENSOR_CACHE = {}
 
 
@@ -458,8 +478,7 @@ def tensor_square(pres: Presentation) -> Presentation:
     rules = {}
     for leg in legs:
         for (hi, lo), (kappa, corr) in pres.rules.items():
-            new_corr = tuple(
-                (c, tuple((leg_name(g, leg), e) for g, e in w)) for c, w in corr)
+            new_corr = tuple((c, _on_leg(w, leg)) for c, w in corr)
             rules[(leg_name(hi, leg), leg_name(lo, leg))] = (kappa, new_corr)
     one = FracScalar.one()
     ordinaries = [g for g, k in pres.generators if k != SCALING]
@@ -474,15 +493,22 @@ def tensor_square(pres: Presentation) -> Presentation:
     return out
 
 
-def embed_leg(poly: NCPoly, target: Presentation, leg: int) -> NCPoly:
-    """Embed x as x (x) 1 (leg 1) or 1 (x) x (leg 2) in a tensor square."""
-    raw = [(c, tuple((leg_name(g, leg), e) for g, e in w))
-           for w, c in poly.terms.items()]
-    return NCPoly(target, raw)
-
-
 def tensor(x: NCPoly, y: NCPoly, target: Presentation) -> NCPoly:
-    return embed_leg(x, target, 1) * embed_leg(y, target, 2)
+    """x (x) y in target, the tensor square of their presentation.
+
+    Leg-1 generators precede leg-2 ones and the legs commute, so each word
+    of x renamed onto leg 1 followed by each word of y renamed onto leg 2
+    is already normal, and distinct pairs give distinct words.
+    """
+    right = [(_on_leg(w2, 2), c2) for w2, c2 in y.terms.items()]
+    terms = {}
+    for w1, c1 in x.terms.items():
+        w1 = _on_leg(w1, 1)
+        for w2, c2 in right:
+            c = c1 * c2
+            if not scalar_is_zero(c):
+                terms[w1 + w2] = c
+    return NCPoly._from_normal(target, terms)
 
 
 def split_legs(word, nlegs: int):
@@ -509,22 +535,29 @@ def hom_apply(poly: NCPoly, target: Presentation, images,
     as coproducts of group-like scaling generators).
     """
     scaling_images = scaling_images or {}
+    powers = {}     # (g, e) -> the image of g^e, built once per call
+
+    def image(g, e):
+        if g in scaling_images:
+            atoms = tuple((t, e) for t in scaling_images[g])
+            return NCPoly(target, [(1, atoms)])
+        if g not in images:
+            raise RewriteError(f"no image for generator {g}")
+        img = images[g]
+        e = Fraction(e)
+        if e.denominator != 1:
+            raise RewriteError(f"fractional power {e} of mapped generator {g}")
+        e = int(e)
+        return img ** e if e >= 0 else img.invert() ** (-e)
+
     result = NCPoly.zero(target)
     for word, coeff in poly.terms.items():
         factor = NCPoly.scalar(target, coeff)
-        for g, e in word:
-            if g in scaling_images:
-                atoms = tuple((t, e) for t in scaling_images[g])
-                factor = factor * NCPoly(target, [(1, atoms)])
-                continue
-            if g not in images:
-                raise RewriteError(f"no image for generator {g}")
-            img = images[g]
-            e = Fraction(e)
-            if e.denominator != 1:
-                raise RewriteError(f"fractional power {e} of mapped generator {g}")
-            e = int(e)
-            factor = factor * (img ** e if e >= 0 else img.invert() ** (-e))
+        for atom in word:
+            power = powers.get(atom)
+            if power is None:
+                power = powers[atom] = image(*atom)
+            factor = factor * power
         result = result + factor
     return result
 
