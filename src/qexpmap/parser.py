@@ -152,7 +152,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            return ("poly", [(Fraction(int(tok[1])), ())])
+            return ("poly", [(int(tok[1]), ())])
         if tok[0] == "(":
             self.take()
             terms = self.expr()

@@ -43,6 +43,11 @@ class TestParser:
         with pytest.raises(ParseError):
             a_parse("a**b")
 
+    def test_integer_literals_are_ints(self):
+        # an integral coefficient is stored as an int, as "a" stores 1
+        for x in (a_parse("2*a - 3 + a"), a_parse("(2)^2*b")):
+            assert {type(c) for c in x.terms.values()} == {int}
+
 
 class TestNormalOrder:
     def test_defining_example(self):
