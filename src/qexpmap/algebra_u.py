@@ -14,8 +14,8 @@ from functools import lru_cache
 from . import parser
 from .matrices import Matrix
 from .reporting import Identity
-from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, hom_apply,
-                      tensor_square)
+from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, UsageError,
+                      hom_apply, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, ScalarError,
                       lift_scalar, qint, scalar_lambda_one, scalar_level)
 
@@ -167,14 +167,14 @@ class Rep:
 
 def spin_params(j, z, norm: str):
     """j and z as Fractions, once they name a spin-j representation of
-    central charge z in a known normalization; ValueError otherwise."""
+    central charge z in a known normalization; UsageError otherwise."""
     j, z = Fraction(j), Fraction(z)
     if j < 0 or (2 * j).denominator != 1:
-        raise ValueError(f"spin j must be a non-negative half-integer, got {j}")
+        raise UsageError(f"spin j must be a non-negative half-integer, got {j}")
     if (2 * (z - j)).denominator != 1:
-        raise ValueError("charge z must differ from j by a half-integer")
+        raise UsageError("charge z must differ from j by a half-integer")
     if norm not in ("symmetric", "rational"):
-        raise ValueError(f"unknown normalization {norm!r}")
+        raise UsageError(f"unknown normalization {norm!r}")
     return j, z
 
 

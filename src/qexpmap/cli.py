@@ -2,7 +2,8 @@
 verification suites and manage golden files.
 
 Exit codes: 0 success; 1 failed identity or golden mismatch; 2 parse, usage
-or missing-file error; 3 term-count guard exceeded.
+or file error; 3 term-count guard exceeded; 4 internal error (a defect of
+the program, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import expmap, goldens
@@ -17,14 +19,14 @@ from .algebra_a import apq_presentation
 from .algebra_u import u_presentation
 from .parser import parse
 from .render import render_matrix, render_poly
-from .rewrite import GuardExceeded, ParseError, RewriteError
-from .scalars import ScalarError
+from .rewrite import GuardExceeded, RewriteError, UsageError
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _fraction(text: str) -> Fraction:
@@ -103,7 +105,7 @@ def _cmd_normal_order(args) -> int:
 
 def _half_integer(name, value):
     if (2 * value).denominator != 1 or value < 0:
-        raise ScalarError(f"{name} must be a non-negative half-integer")
+        raise UsageError(f"{name} must be a non-negative half-integer")
 
 
 def _cmd_tmatrix(args) -> int:
@@ -188,9 +190,14 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, ScalarError, ValueError, KeyError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        print("internal error: please report this with the traceback above",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

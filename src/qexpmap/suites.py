@@ -12,6 +12,7 @@ from .algebra_u import gamma_rep, u_presentation
 from .confluence import confluence_check
 from .matrices import Matrix
 from .reporting import CheckResult, Identity, run_identities
+from .rewrite import UsageError
 from .scalars import HalfLaurent, NumericParams, Q_pow, ScalarError
 
 HALF = Fraction(1, 2)
@@ -238,7 +239,7 @@ def run_suite(name: str, **opts) -> list[CheckResult]:
     elif name in _BUILDERS:
         suites, points = (name,), None
     else:
-        raise KeyError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise UsageError(f"unknown suite {name!r}; choose from {SUITES}")
     results = []
     for suite in suites:
         for check, params, idents in _BUILDERS[suite](opts):

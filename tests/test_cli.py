@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from qexpmap import expmap, suites
 from qexpmap.algebra_a import apq_presentation
 from qexpmap.cli import main
-from qexpmap.rewrite import NCPoly
+from qexpmap.rewrite import NCPoly, UsageError
+from qexpmap.scalars import ScalarError
 
 
 LATEX_CALLS = (
@@ -165,6 +167,15 @@ class TestVerify:
     def test_unknown_suite_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+        with pytest.raises(UsageError, match="unknown suite"):
+            suites.run_suite("nonsense")
+
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--suite", "lie-coords",
+                             "--out", str(tmp_path / "absent" / "r.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     # tests/refs/ holds reports recorded with earlier code; `specialize`
     # lists its checks in builder order, not sorted, which is easy to break
@@ -176,6 +187,22 @@ class TestVerify:
         assert code == 0
         ref = Path(__file__).parent / "refs" / f"verify_{suite}.json"
         assert path.read_bytes() == ref.read_bytes()
+
+
+class TestInternalError:
+    # an exception that is not a usage error is a defect of the program:
+    # exit 4 with its traceback, never the usage code 2
+    @pytest.mark.parametrize("exc", [KeyError("x"), ValueError("x"),
+                                     ScalarError("x"), TypeError("x")])
+    def test_exit_four(self, capsys, monkeypatch, exc):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(expmap, "l_matrix", broken)
+        code, out, err = run(capsys, "lmatrix", "--sign", "+", "--j", "1")
+        assert code == 4
+        assert out == ""
+        assert "Traceback" in err and "internal error" in err
 
 
 class TestGolden:
