@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from fractions import Fraction
 
 from . import expmap, goldens
@@ -194,6 +193,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
+        # imported here: at module level it adds about a sixth to start-up
+        import traceback
         traceback.print_exc()
         print("internal error: please report this with the traceback above",
               file=sys.stderr)
