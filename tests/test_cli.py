@@ -18,6 +18,22 @@ LATEX_CALLS = (
     "normal-order --algebra U e^2*f^2",
 )
 
+# multi-term expressions with repeated words and powers of sums, whose
+# like terms merge before and during normal ordering
+NORMAL_ORDER_CALLS = (
+    ("A", "(a+b)^3*(c+d)^2"),
+    ("A", "2*a*b - 3*b*a + a*b"),
+    ("A", "(d+c)^2*(b+a)^2"),
+    ("A", "(a*d - q*b*c)^2 - d*a + a*d"),
+    ("A", "(D^1/2 + a)^2*(d + a^-1) + p*q^-1*c*b*(a - 2*a)"),
+    ("A", "3 + 2 - 5*a + a + 4*a*D^-1/2*D^1/2"),
+    ("U", "(e+f)^3"),
+    ("U", "2*e*f - 3*f*e + e*f"),
+    ("U", "(e+f+k^1/2)^3"),
+    ("U", "(k + k^-1)^2*(e+f)^2"),
+    ("U", "e^2*f^2 - f^2*e^2 + Q*e*f"),
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -65,6 +81,20 @@ class TestNormalOrder:
         code, _, err = run(capsys, "normal-order", "a")
         assert code == 2
         assert "QEXPMAP_GUARD" in err
+
+    def test_multi_term_bytes_match_reference(self, capsys):
+        # tests/refs/normal_order.txt holds each call's stdout in text and
+        # JSON, each after a "% qexpmap <args>" line, recorded with earlier
+        # code that normal-ordered every parsed expression twice
+        got = []
+        for alg, expr in NORMAL_ORDER_CALLS:
+            for fmt in ("text", "json"):
+                args = ["normal-order", "--algebra", alg, "--format", fmt, expr]
+                code, out, _ = run(capsys, *args)
+                assert code == 0
+                got.append(f"% qexpmap {' '.join(args)}\n{out}")
+        ref = Path(__file__).parent / "refs" / "normal_order.txt"
+        assert "".join(got).encode() == ref.read_bytes()
 
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "normal-order", "--format", "json", "d*a")
