@@ -13,7 +13,7 @@ from functools import lru_cache
 from . import parser
 from .reporting import Identity
 from .rewrite import (INVERTIBLE, ORDINARY, SCALING, NCPoly, Presentation,
-                      hom_apply, scalar_hom, tensor, tensor_square)
+                      hom_apply, tensor, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, lam_pow, p_pow, q_pow)
 
 
@@ -45,7 +45,7 @@ def apq_presentation() -> Presentation:
 
 
 def a_parse(text: str) -> NCPoly:
-    return parser.parse(text, apq_presentation()).normalized()
+    return parser.parse(text, apq_presentation())
 
 
 def agen(name: str, exp=1) -> NCPoly:
@@ -82,12 +82,21 @@ def coproduct(x: NCPoly) -> NCPoly:
         "c": leg("c", 1) * leg("a", 2) + leg("d", 1) * leg("c", 2),
         "d": leg("c", 1) * leg("b", 2) + leg("d", 1) * leg("d", 2),
     }
-    return hom_apply(x, t2, images, scaling_images={"D": ("D@1", "D@2")})
+
+    def image(g, e):
+        if g == "D":    # group-like
+            return NCPoly(t2, [(1, (("D@1", e), ("D@2", e)))])
+        return images[g] ** e
+
+    return hom_apply(x, lambda c: NCPoly.scalar(t2, c), image)
+
+
+_COUNIT = {"D": 1, "a": 1, "b": 0, "c": 0, "d": 1}
 
 
 def counit(x: NCPoly):
     """Evaluate at the identity matrix: a,d -> 1 and b,c -> 0."""
-    return scalar_hom(x, {"a": 1, "b": 0, "c": 0, "d": 1, "D": 1})
+    return hom_apply(x, lambda c: c, lambda g, e: _COUNIT[g])
 
 
 def relation_identities() -> list[Identity]:
@@ -180,17 +189,15 @@ def counit_identities() -> list[Identity]:
     """(counit x id) and (id x counit) composed with the coproduct both act
     as the identity on the generators."""
     pres = apq_presentation()
-    t2 = tensor_square(pres)
-    eps = {"a": 1, "b": 0, "c": 0, "d": 1}
 
     def collapse(x, keep_leg):
-        other = 2 if keep_leg == 1 else 1
-        images = {}
-        for g in "abcd":
-            images[f"{g}@{keep_leg}"] = agen(g)
-            images[f"{g}@{other}"] = NCPoly.scalar(pres, eps[g])
-        return hom_apply(x, pres, images, scaling_images={
-            f"D@{keep_leg}": ("D",), f"D@{other}": ()})
+        def image(g, e):
+            g, _, leg = g.partition("@")
+            if int(leg) == keep_leg:
+                return agen(g, e)
+            return NCPoly.scalar(pres, _COUNIT[g])
+
+        return hom_apply(x, lambda c: NCPoly.scalar(pres, c), image)
 
     idents = []
     for g in ("a", "b", "c", "d"):

@@ -43,7 +43,7 @@ def u_presentation() -> Presentation:
 
 
 def u_parse(text: str) -> NCPoly:
-    return parser.parse(text, u_presentation()).normalized()
+    return parser.parse(text, u_presentation())
 
 
 def ugen(name: str, exp=1) -> NCPoly:
@@ -84,7 +84,13 @@ def u_coproduct(x: NCPoly) -> NCPoly:
         "e": leg("e", 1) * leg("k", 2, -1) + leg("k", 1) * leg("e", 2),
         "f": leg("f", 1) * leg("k", 2, -1) + leg("k", 1) * leg("f", 2),
     }
-    return hom_apply(x, t2, images, scaling_images={"k": ("k@1", "k@2")})
+
+    def image(g, e):
+        if g == "k":    # group-like
+            return NCPoly(t2, [(1, (("k@1", e), ("k@2", e)))])
+        return images[g] ** e
+
+    return hom_apply(x, lambda c: NCPoly.scalar(t2, c), image)
 
 
 def pi_images(sign: str) -> dict:
@@ -113,9 +119,12 @@ def pi_apply(sign: str, x: NCPoly) -> NCPoly:
     The source coefficients live at generic lambda; the target algebra sits
     at lambda = 1, so coefficients are specialized on the way through.
     """
-    out = hom_apply(x, u_presentation(), pi_images(sign),
-                    scaling_images={"D": ()})
-    return out.map_coeffs(scalar_lambda_one).normalized()
+    pres = u_presentation()
+    images = pi_images(sign)
+    one = NCPoly.one(pres)
+    out = hom_apply(x, lambda c: NCPoly.scalar(pres, c),
+                    lambda g, e: one if g == "D" else images[g] ** e)
+    return out.map_coeffs(scalar_lambda_one)
 
 
 # ---------------------------------------------------------------------------
@@ -245,37 +254,26 @@ def hatted(rep: Rep):
 def u_rep_apply(rep: Rep, x: NCPoly) -> Matrix:
     """Represent an element of the dual algebra as a matrix: f acts as
     Jminus, e as Jplus, and k^s as diag(Q^(s m))."""
-    pres = u_presentation()
-    if x.pres is not pres:
+    if x.pres is not u_presentation():
         raise ValueError("u_rep_apply expects an element of the uq algebra")
-    zero = rep.zero_entry()
-    total = Matrix.build(rep.dim, rep.dim, lambda r, c: zero)
-    for word, coeff in x.terms.items():
-        m = rep.identity() * coeff
-        for g, e in word:
-            if g == "k":
-                def kdiag(mw, s=Fraction(e)):
-                    half = 2 * s * mw
-                    if half.denominator != 1:
-                        raise ScalarError(
-                            f"k^{s} eigenvalue Q^({s}*{mw}) is not a "
-                            f"half-integer power of Q")
-                    return HalfLaurent.monomial(1, int(half), 0)
-                m = m * rep.diag(kdiag)
-            elif g == "e":
-                if e < 0:
-                    raise ScalarError("e is not invertible in a representation")
-                for _ in range(int(e)):
-                    m = m * rep.Jplus
-            elif g == "f":
-                if e < 0:
-                    raise ScalarError("f is not invertible in a representation")
-                for _ in range(int(e)):
-                    m = m * rep.Jminus
-            else:
-                raise ScalarError(f"unknown generator {g} in representation")
-        total = total + m
-    return total
+
+    def kdiag(s, mw):
+        half = 2 * s * mw
+        if half.denominator != 1:
+            raise ScalarError(f"k^{s} eigenvalue Q^({s}*{mw}) is not a "
+                              f"half-integer power of Q")
+        return HalfLaurent.monomial(1, int(half), 0)
+
+    def image(g, e):
+        if g == "k":
+            return rep.diag(lambda mw: kdiag(e, mw))
+        ladder = rep.Jplus if g == "e" else rep.Jminus
+        power = ladder
+        for _ in range(int(e) - 1):
+            power = power * ladder
+        return power
+
+    return hom_apply(x, lambda c: rep.identity() * c, image)
 
 
 def rep_relation_identities(rep: Rep) -> list[Identity]:

@@ -94,11 +94,13 @@ def _cmd_normal_order(args) -> int:
     pres = apq_presentation() if args.algebra == "A" else u_presentation()
     try:
         poly = parse(args.expr, pres)
+    except GuardExceeded:
+        raise
     except RewriteError as exc:
         # an invalid atom of the user's expression, such as b^-1 in A
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(render_poly(poly.normalized(), args.format))
+    print(render_poly(poly, args.format))
     return EXIT_OK
 
 
@@ -132,6 +134,10 @@ def _cmd_rmatrix(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if (args.j is not None or args.z is not None) and args.suite != "comodule":
+        raise UsageError("--j and --z apply only to --suite comodule")
+    if args.z is not None and args.j is None:
+        raise UsageError("--z needs --j")
     opts = {}
     if args.max_j is not None:
         opts["max_j"] = args.max_j

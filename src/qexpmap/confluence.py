@@ -136,18 +136,17 @@ def _normal_forms(pres, atoms, memo, budget):
 
 
 def _state_poly(pres, state) -> NCPoly:
-    return NCPoly(pres, {w: _coeff_from_key(k) for w, k in state},
-                  normalize=False)
+    """The polynomial of a state, whose words are normal."""
+    return NCPoly._from_normal(pres, {w: _coeff_from_key(k) for w, k in state})
 
 
 def _states_equal(pres, s1, s2) -> bool:
     return (_state_poly(pres, s1) - _state_poly(pres, s2)).is_zero()
 
 
-def confluence_check(pres: Presentation, max_len: int = 3,
-                     letters=None) -> ConfluenceReport:
+def confluence_check(pres: Presentation, max_len: int = 3) -> ConfluenceReport:
     """Check that every rewrite order agrees on all words up to max_len."""
-    letters = letters if letters is not None else _letters(pres)
+    letters = _letters(pres)
     report = ConfluenceReport(pres.name, max_len)
     budget = [term_guard()]
     for length in range(2, max_len + 1):

@@ -164,9 +164,9 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     return Matrix.build(rep.dim, rep.dim, rescale)
 
 
-def t_counit_identities(j, z, norm="rational") -> list[Identity]:
+def t_counit_identities(j, z) -> list[Identity]:
     """Entrywise counit of the spin-j matrix is the identity matrix."""
-    t = t_matrix_closed(j, z, norm)
+    t = t_matrix_closed(j, z, "rational")
     pres = apq_presentation()
     lhs = t.map(lambda x: NCPoly.scalar(pres, counit(x)))
     rhs = Matrix.identity(t.nrows, NCPoly.one(pres), NCPoly.zero(pres))
@@ -189,10 +189,10 @@ def _coproduct_identities(mat: Matrix, delta, pres, label) -> list[Identity]:
     return idents
 
 
-def comodule_identities(j, z, norm="rational") -> list[Identity]:
+def comodule_identities(j, z) -> list[Identity]:
     """Delta(T_ik) = sum_l T_il (x) T_lk, entry by entry."""
     return _coproduct_identities(
-        t_matrix_closed(j, z, norm), coproduct, apq_presentation(),
+        t_matrix_closed(j, z, "rational"), coproduct, apq_presentation(),
         lambda i, k: f"Delta(T^({j};{z})[{i},{k}])")
 
 
@@ -243,13 +243,12 @@ def r_matrix_rep(j1, z1, j2, z2, norm: str = "rational") -> Matrix:
     return Matrix.build(dim, dim, lambda r, c: pref[r] * total[r, c])
 
 
-def quasitriangular_identities(j1, z1, j2, z2,
-                               norm: str = "rational") -> list[Identity]:
+def quasitriangular_identities(j1, z1, j2, z2) -> list[Identity]:
     """R intertwines the coproduct with the opposite coproduct on the
     generators: R Delta(x) = Delta'(x) R."""
-    rep1 = gamma_rep(j1, z1, norm)
-    rep2 = gamma_rep(j2, z2, norm)
-    rmat = r_matrix_rep(j1, z1, j2, z2, norm)
+    rep1 = gamma_rep(j1, z1, "rational")
+    rep2 = gamma_rep(j2, z2, "rational")
+    rmat = r_matrix_rep(j1, z1, j2, z2, "rational")
 
     def wdiag(rep, se, sz):
         # diag(Q^(se m) lambda^(sz z))
@@ -314,14 +313,14 @@ def l_matrix(sign: str, j, norm: str = "symmetric") -> Matrix:
     return left * mid * right
 
 
-def rll_identities(j, norm: str = "rational") -> list[Identity]:
+def rll_identities(j) -> list[Identity]:
     """R L2 L1 = L1 L2 R for sign pairs (+,+), (-,-) and (+,-)."""
     pres = u_presentation()
-    lp = l_matrix("+", j, norm)
-    lm = l_matrix("-", j, norm)
+    lp = l_matrix("+", j, "rational")
+    lm = l_matrix("-", j, "rational")
     # charge 0 makes the restricted intertwiner independent of lambda,
     # matching the lambda = 1 algebra the L entries live in
-    rmat = r_matrix_rep(j, 0, j, 0, norm)
+    rmat = r_matrix_rep(j, 0, j, 0, "rational")
     dim = lp.nrows
     ident = Matrix.identity(dim, NCPoly.one(pres), NCPoly.zero(pres))
 
@@ -339,14 +338,14 @@ def rll_identities(j, norm: str = "rational") -> list[Identity]:
     return idents
 
 
-def delta_l_identities(sign: str, j, norm: str = "rational") -> list[Identity]:
+def delta_l_identities(sign: str, j) -> list[Identity]:
     """Delta(L_ik) = sum_l L_il (x) L_lk."""
     return _coproduct_identities(
-        l_matrix(sign, j, norm), u_coproduct, u_presentation(),
+        l_matrix(sign, j, "rational"), u_coproduct, u_presentation(),
         lambda i, k: f"Delta(L^{sign}({j})[{i},{k}])")
 
 
-def pi_t_vs_r_identities(j, norm: str = "rational") -> list[Identity]:
+def pi_t_vs_r_identities(j) -> list[Identity]:
     """Representing the defining 2x2 matrix through the evaluation maps
     reproduces blocks of the restricted intertwiner.
 
@@ -357,10 +356,10 @@ def pi_t_vs_r_identities(j, norm: str = "rational") -> list[Identity]:
     only makes sense with the tensor legs in that order.
     """
     j = Fraction(j)
-    rep = gamma_rep(j, j, norm)
+    rep = gamma_rep(j, j, "rational")
     half = Fraction(1, 2)
-    rmat = r_matrix_rep(half, 0, j, 0, norm)
-    rinv_swapped = r_matrix_rep(j, 0, half, 0, norm).inverse()
+    rmat = r_matrix_rep(half, 0, j, 0, "rational")
+    rinv_swapped = r_matrix_rep(j, 0, half, 0, "rational").inverse()
     tdef = [[a_parse("a"), a_parse("b")], [a_parse("c"), a_parse("d")]]
     dim = rep.dim
     idents = []
@@ -382,7 +381,7 @@ def pi_t_vs_r_identities(j, norm: str = "rational") -> list[Identity]:
     return idents
 
 
-def tprime_r_identities(j1, j2, norm: str = "rational") -> list[Identity]:
+def tprime_r_identities(j1, j2) -> list[Identity]:
     """Representing both legs of the mixed construction against the
     restricted intertwiner.
 
@@ -392,11 +391,11 @@ def tprime_r_identities(j1, j2, norm: str = "rational") -> list[Identity]:
     identity is recorded with that corrected right-hand side.
     """
     j1, j2 = Fraction(j1), Fraction(j2)
-    rep1 = gamma_rep(j1, j1, norm)
+    rep1 = gamma_rep(j1, j1, "rational")
     d1 = rep1.dim
     idents = []
     for sign in ("+", "-"):
-        lmat = l_matrix(sign, j2, norm)
+        lmat = l_matrix(sign, j2, "rational")
         d2 = lmat.nrows
         blocks = [[u_rep_apply(rep1, lmat[l, m]) for m in range(d2)]
                   for l in range(d2)]
@@ -404,10 +403,10 @@ def tprime_r_identities(j1, j2, norm: str = "rational") -> list[Identity]:
             d1 * d2, d1 * d2,
             lambda rr, cc: blocks[rr % d2][cc % d2][rr // d2, cc // d2])
         if sign == "+":
-            rhs = r_matrix_rep(j1, 0, j2, 0, norm)
+            rhs = r_matrix_rep(j1, 0, j2, 0, "rational")
             note = ""
         else:
-            rhs = r_matrix_rep(j2, 0, j1, 0, norm).inverse() \
+            rhs = r_matrix_rep(j2, 0, j1, 0, "rational").inverse() \
                 .flip_legs(int(2 * j1) + 1, int(2 * j2) + 1)
             note = ("minus sign equals the leg-flipped inverse intertwiner, "
                     "not the intertwiner itself")

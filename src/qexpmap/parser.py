@@ -11,15 +11,18 @@ Grammar:
 
 Scalar names parse to HalfLaurent monomials ('p' = Q*lambda, 'q' =
 Q*lambda^-1; under a lambda_one presentation both read as Q).  The result
-is the *unnormalized* polynomial denoted by the expression.
+is the polynomial denoted by the expression, in normal form: the expanded
+terms are validated once, like terms are merged, and the rewrite engine
+runs once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rewrite import NCPoly, ParseError, Presentation, SCALING
-from .scalars import HalfLaurent
+from .rewrite import (NCPoly, ParseError, Presentation, SCALING,
+                      _validate_atoms, normal_order_terms)
+from .scalars import HalfLaurent, scalar_is_zero
 
 
 def _tokenize(text):
@@ -194,5 +197,21 @@ class _Parser:
 
 
 def parse(text: str, pres: Presentation) -> NCPoly:
-    """Parse an expression into an unnormalized NCPoly."""
-    return NCPoly(pres, _Parser(text, pres).parse(), normalize=False)
+    """Parse an expression into its normal-ordered NCPoly.
+
+    Raises ParseError for malformed text and RewriteError for a term the
+    presentation does not allow, such as a negative power of a
+    non-invertible generator, even when that term cancels.
+    """
+    merged = {}
+    for c, atoms in _Parser(text, pres).parse():
+        _validate_atoms(pres, atoms)
+        atoms = tuple(a for a in atoms if a[1])
+        acc = merged.get(atoms)
+        acc = c if acc is None else acc + c
+        if scalar_is_zero(acc):
+            merged.pop(atoms, None)
+        else:
+            merged[atoms] = acc
+    terms = normal_order_terms(pres, [(c, w) for w, c in merged.items()])
+    return NCPoly._from_normal(pres, terms)

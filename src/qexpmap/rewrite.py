@@ -80,6 +80,7 @@ class Presentation:
         self.scaling = dict(scaling or {})
         self.lambda_one = lambda_one
         self._unit_rules = {}
+        self._square = None     # tensor_square(self), built on first use
         ordinaries = [g for g, k in self.generators if k != SCALING]
         for i, lo in enumerate(ordinaries):
             for hi in ordinaries[i + 1:]:
@@ -242,39 +243,21 @@ def _word_sort_key(pres, word):
 class NCPoly:
     """Finite scalar-weighted sum of words over a presented algebra.
 
-    Words are tuples of (generator, exponent).  Unless ``normalize=False``
-    is requested (the parser uses it), terms are kept in PBW normal form;
-    arithmetic relies on that, so a raw polynomial is ``normalized()``
-    first.
+    Words are tuples of (generator, exponent).  The terms are always in PBW
+    normal form, a dict from normal word to nonzero coefficient: the
+    constructor validates and normal-orders its raw (coeff, atoms) terms,
+    and arithmetic relies on that.
     """
 
     __slots__ = ("pres", "terms")
 
-    def __init__(self, pres, terms=None, normalize=True):
-        if terms is None:
-            terms = {}
-        if isinstance(terms, dict):
-            items = [(c, w) for w, c in terms.items()]
-        else:
-            items = list(terms)
+    def __init__(self, pres, terms):
         items = [(c, tuple((g, Fraction(e)) for g, e in atoms))
-                 for c, atoms in items]
+                 for c, atoms in terms]
         for _, atoms in items:
             _validate_atoms(pres, atoms)
-        if normalize:
-            clean = normal_order_terms(pres, items)
-        else:
-            clean = {}
-            for c, atoms in items:
-                atoms = tuple(a for a in atoms if a[1])
-                acc = clean.get(atoms)
-                acc = c if acc is None else acc + c
-                if scalar_is_zero(acc):
-                    clean.pop(atoms, None)
-                else:
-                    clean[atoms] = acc
         self.pres = pres
-        self.terms = clean
+        self.terms = normal_order_terms(pres, items)
 
     # -- constructors
 
@@ -375,7 +358,9 @@ class NCPoly:
             if not self.pres.is_invertible(g):
                 raise RewriteError(f"generator {g} is not invertible")
         if isinstance(coeff, (int, Fraction)):
-            inv_c = Fraction(1) / coeff
+            inv_c = Fraction(1, coeff)
+            if inv_c.denominator == 1:
+                inv_c = inv_c.numerator
         else:
             inv_c = coeff.inverse()
         inv_word = tuple((g, -e) for g, e in reversed(word))
@@ -391,9 +376,6 @@ class NCPoly:
     __hash__ = None
 
     # -- analysis helpers
-
-    def normalized(self) -> "NCPoly":
-        return NCPoly(self.pres, [(c, w) for w, c in self.terms.items()])
 
     def map_coeffs(self, fn) -> "NCPoly":
         mapped = ((w, fn(c)) for w, c in self.terms.items())
@@ -448,8 +430,9 @@ class NCPoly:
 
 
 def normal_order(x: NCPoly) -> NCPoly:
-    """Normal-order a polynomial (NCPoly normalizes eagerly; this re-runs it)."""
-    return x.normalized()
+    """Normal-order a polynomial's terms again (an NCPoly is always normal,
+    so this re-runs the engine on a normal form)."""
+    return NCPoly(x.pres, [(c, w) for w, c in x.terms.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +447,12 @@ def _on_leg(word, leg: int):
     return tuple((leg_name(g, leg), e) for g, e in word)
 
 
-_TENSOR_CACHE = {}
-
-
 def tensor_square(pres: Presentation) -> Presentation:
     """Tensor square: one renamed copy of the presentation per leg, the
-    legs commuting, leg-1 generators first."""
-    cached = _TENSOR_CACHE.get(id(pres))
-    if cached is not None:
-        return cached
+    legs commuting, leg-1 generators first.  Built once per presentation
+    and kept on it."""
+    if pres._square is not None:
+        return pres._square
     legs = (1, 2)
     gens = [(leg_name(g, leg), k) for leg in legs for g, k in pres.generators]
     rules = {}
@@ -487,10 +467,9 @@ def tensor_square(pres: Presentation) -> Presentation:
             rules[(leg_name(hi, 2), leg_name(lo, 1))] = (one, ())
     scaling = {(leg_name(s, leg), leg_name(x, leg)): mu
                for (s, x), mu in pres.scaling.items() for leg in legs}
-    out = Presentation(f"{pres.name}^x2", gens, rules, scaling,
-                       lambda_one=pres.lambda_one)
-    _TENSOR_CACHE[id(pres)] = out
-    return out
+    pres._square = Presentation(f"{pres.name}^x2", gens, rules, scaling,
+                                lambda_one=pres.lambda_one)
+    return pres._square
 
 
 def tensor(x: NCPoly, y: NCPoly, target: Presentation) -> NCPoly:
@@ -524,35 +503,18 @@ def split_legs(word, nlegs: int):
 # algebra homomorphisms
 
 
-def hom_apply(poly: NCPoly, target: Presentation, images,
-              scaling_images=None) -> NCPoly:
-    """Extend a generator assignment to an algebra map.
+def hom_apply(poly: NCPoly, scalar, image):
+    """Extend a map on atoms to an algebra map, applied to poly.
 
-    images: ordinary generator -> NCPoly over target; negative exponents
-    require a monomial (hence invertible) image.
-    scaling_images: scaling generator -> list of target scaling generator
-    names, each raised to the same exponent (exponent-preserving maps such
-    as coproducts of group-like scaling generators).
+    image(g, e) is the image of the atom g^e and scalar(c) is c times the
+    target's unit: NCPoly.scalar for a polynomial algebra, c times the
+    identity for matrices, c itself for scalars.  Each atom's image is
+    built once per call.
     """
-    scaling_images = scaling_images or {}
-    powers = {}     # (g, e) -> the image of g^e, built once per call
-
-    def image(g, e):
-        if g in scaling_images:
-            atoms = tuple((t, e) for t in scaling_images[g])
-            return NCPoly(target, [(1, atoms)])
-        if g not in images:
-            raise RewriteError(f"no image for generator {g}")
-        img = images[g]
-        e = Fraction(e)
-        if e.denominator != 1:
-            raise RewriteError(f"fractional power {e} of mapped generator {g}")
-        e = int(e)
-        return img ** e if e >= 0 else img.invert() ** (-e)
-
-    result = NCPoly.zero(target)
+    powers = {}     # atom -> its image
+    result = scalar(0)
     for word, coeff in poly.terms.items():
-        factor = NCPoly.scalar(target, coeff)
+        factor = scalar(coeff)
         for atom in word:
             power = powers.get(atom)
             if power is None:
@@ -560,24 +522,3 @@ def hom_apply(poly: NCPoly, target: Presentation, images,
             factor = factor * power
         result = result + factor
     return result
-
-
-def scalar_hom(poly: NCPoly, values) -> object:
-    """Algebra map to scalars (e.g. the counit); scaling generators must map
-    to 1 and do so implicitly."""
-    total = 0
-    for word, coeff in poly.terms.items():
-        val = coeff
-        for g, e in word:
-            v = values.get(g, 1)
-            if v == 1:
-                continue
-            if scalar_is_zero(v):
-                val = 0
-                break
-            e = Fraction(e)
-            if e.denominator != 1:
-                raise RewriteError(f"fractional power of {g} under scalar map")
-            val = val * (v ** int(e))
-        total = total + val if not scalar_is_zero(val) else total
-    return total

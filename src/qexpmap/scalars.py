@@ -283,33 +283,25 @@ def q_pow(n: int = 1) -> HalfLaurent:
     return HalfLaurent.monomial(1, 2 * n, -2 * n)
 
 
-_QINT_BASE = {"Q": (2, 0), "q": (2, -2)}
+def qint(n: int) -> HalfLaurent:
+    """The q-integer [n] = (Q^n - Q^-n)/(Q - Q^-1) as a Laurent polynomial.
 
-
-def qint(n: int, variable: str = "Q") -> HalfLaurent:
-    """The q-integer [n]_t = (t^n - t^-n)/(t - t^-1) as a Laurent polynomial.
-
-    For n > 0 this is sum_{i=0..n-1} t^(n-1-2i); it is antisymmetric in n.
+    For n > 0 this is sum_{i=0..n-1} Q^(n-1-2i); it is antisymmetric in n.
     """
-    bu, bv = _QINT_BASE[variable]
     n = int(n)
     sign = 1
     if n < 0:
         n, sign = -n, -1
-    terms = {}
-    for i in range(n):
-        e = n - 1 - 2 * i
-        terms[(bu * e, bv * e)] = sign
-    return HalfLaurent(terms)
+    return HalfLaurent({(2 * (n - 1 - 2 * i), 0): sign for i in range(n)})
 
 
-def qfact(n: int, variable: str = "Q") -> HalfLaurent:
+def qfact(n: int) -> HalfLaurent:
     """[n]! = [n][n-1]...[1]; [0]! = 1.  Negative n is a domain error."""
     if n < 0:
         raise ScalarError(f"qfact of negative integer {n}")
     result = HalfLaurent.one()
     for k in range(1, int(n) + 1):
-        result = result * qint(k, variable)
+        result = result * qint(k)
     return result
 
 

@@ -89,7 +89,8 @@ class TestNormalOrder:
         got = []
         for alg, expr in NORMAL_ORDER_CALLS:
             for fmt in ("text", "json"):
-                args = ["normal-order", "--algebra", alg, "--format", fmt, expr]
+                args = ["normal-order", "--algebra", alg, "--format", fmt,
+                        expr]
                 code, out, _ = run(capsys, *args)
                 assert code == 0
                 got.append(f"% qexpmap {' '.join(args)}\n{out}")
@@ -186,6 +187,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "confluence",
                            "--max-len", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("args", [
+        "--suite rll --j 1/3", "--suite all --j 1",
+        "--suite closed-vs-factorized --j 1 --z 1/3", "--suite qdet --z 0",
+        "--suite comodule --z 1/2"])
+    def test_unused_spin_options_exit_two(self, capsys, args):
+        # --j and --z choose the comodule check's spin and charge, and --z
+        # needs --j; any other use is a usage error, not silently ignored
+        code, out, err = run(capsys, "verify", *args.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qexpmap.algebra_a import a_parse, apq_presentation
-from qexpmap.algebra_u import u_presentation
+from qexpmap import parser, rewrite
+from qexpmap.algebra_a import a_parse, agen, apq_presentation
+from qexpmap.algebra_u import u_presentation, ugen
 from qexpmap.confluence import confluence_check
 from qexpmap.reporting import Identity
-from qexpmap.rewrite import (GuardExceeded, NCPoly, ParseError, normal_order,
-                             tensor_square)
+from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
+                             Presentation, normal_order, tensor_square)
 from qexpmap.scalars import NumericParams
 
 
@@ -47,6 +48,34 @@ class TestParser:
         # an integral coefficient is stored as an int, as "a" stores 1
         for x in (a_parse("2*a - 3 + a"), a_parse("(2)^2*b")):
             assert {type(c) for c in x.terms.values()} == {int}
+
+    def test_validates_each_term_once_and_normal_orders_once(
+            self, monkeypatch):
+        validated, ordered = [], []
+        validate = rewrite._validate_atoms
+        normal_order_terms = rewrite.normal_order_terms
+
+        def counting_validate(pres, atoms):
+            validated.append(atoms)
+            return validate(pres, atoms)
+
+        def counting_order(pres, terms, guard=None):
+            ordered.append(len(terms))
+            return normal_order_terms(pres, terms, guard)
+
+        for module in (rewrite, parser):
+            monkeypatch.setattr(module, "_validate_atoms", counting_validate,
+                                raising=False)
+            monkeypatch.setattr(module, "normal_order_terms", counting_order,
+                                raising=False)
+        x = a_parse("d*a + 2*b - b + a*D^1/2")
+        one, half = Fraction(1), Fraction(1, 2)
+        assert validated == [(("d", one), ("a", one)), (("b", one),),
+                             (("b", one),), (("a", one), ("D", half))]
+        # the two b terms merge before the engine runs
+        assert ordered == [3]
+        assert x == agen("a") * agen("d") + agen("b") + agen("a") \
+            * agen("D", half) - a_parse("(q - p^-1)*b*c")
 
 
 class TestNormalOrder:
@@ -97,6 +126,13 @@ class TestNormalOrder:
         with pytest.raises(GuardExceeded):
             a_parse("d^3*a^3")
 
+    def test_integral_inverse_coefficients_are_ints(self):
+        for x, want in ((ugen("k"), 1), (-agen("a", 2), -1),
+                        (agen("a") * 3, Fraction(1, 3)),
+                        (agen("a") * Fraction(1, 2), 2)):
+            (c,) = x.invert().terms.values()
+            assert c == want and type(c) is type(want)
+
     def test_map_coeffs_calls_fn_once_per_term(self):
         x = a_parse("a*d + 2*b*c - 3*d")
         seen = []
@@ -116,6 +152,14 @@ class TestTensor:
         t2 = tensor_square(pres)
         x = NCPoly.gen(t2, "d@2", 1) * NCPoly.gen(t2, "a@1", 1)
         assert x == NCPoly.gen(t2, "a@1", 1) * NCPoly.gen(t2, "d@2", 1)
+
+    def test_square_of_fresh_presentations(self):
+        # a freed presentation's id can be reused by a new one, which must
+        # still get its own square
+        for i in range(12):
+            square = tensor_square(
+                Presentation(f"p{i}", [("x", ORDINARY)], {}))
+            assert square.name == f"p{i}^x2"
 
     def test_per_leg_rules(self):
         pres = apq_presentation()
