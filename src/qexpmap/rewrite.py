@@ -512,7 +512,7 @@ def hom_apply(poly: NCPoly, scalar, image):
     built once per call.
     """
     powers = {}     # atom -> its image
-    result = scalar(0)
+    result = None
     for word, coeff in poly.terms.items():
         factor = scalar(coeff)
         for atom in word:
@@ -520,5 +520,5 @@ def hom_apply(poly: NCPoly, scalar, image):
             if power is None:
                 power = powers[atom] = image(*atom)
             factor = factor * power
-        result = result + factor
-    return result
+        result = factor if result is None else result + factor
+    return scalar(0) if result is None else result
