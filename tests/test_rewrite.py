@@ -9,7 +9,8 @@ from qexpmap.algebra_u import u_presentation, ugen
 from qexpmap.confluence import confluence_check
 from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
-                             Presentation, normal_order, tensor_square)
+                             Presentation, RewriteError, normal_order,
+                             tensor_square)
 from qexpmap.scalars import NumericParams
 
 
@@ -43,6 +44,10 @@ class TestParser:
             a_parse("a*)b")
         with pytest.raises(ParseError):
             a_parse("a**b")
+
+    def test_invalid_term_rejected_even_when_it_cancels(self):
+        with pytest.raises(RewriteError, match="non-invertible b"):
+            a_parse("b^-1 - b^-1")
 
     def test_integer_literals_are_ints(self):
         # an integral coefficient is stored as an int, as "a" stores 1
