@@ -96,6 +96,8 @@ _COUNIT = {"D": 1, "a": 1, "b": 0, "c": 0, "d": 1}
 
 def counit(x: NCPoly):
     """Evaluate at the identity matrix: a,d -> 1 and b,c -> 0."""
+    if x.pres is not apq_presentation():
+        raise ValueError("counit expects an element of the apq algebra")
     return hom_apply(x, lambda c: c, lambda g, e: _COUNIT[g])
 
 

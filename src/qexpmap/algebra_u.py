@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import parser
+from .algebra_a import (apq_presentation, quantum_determinant,
+                        relation_identities)
 from .matrices import Matrix
 from .reporting import Identity
 from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, UsageError,
@@ -119,6 +121,8 @@ def pi_apply(sign: str, x: NCPoly) -> NCPoly:
     The source coefficients live at generic lambda; the target algebra sits
     at lambda = 1, so coefficients are specialized on the way through.
     """
+    if x.pres is not apq_presentation():
+        raise ValueError("pi_apply expects an element of the apq algebra")
     pres = u_presentation()
     images = pi_images(sign)
     one = NCPoly.one(pres)
@@ -305,7 +309,6 @@ def rep_relation_identities(rep: Rep) -> list[Identity]:
 def pi_homomorphism_identities(sign: str) -> list[Identity]:
     """The evaluation map preserves the six exchange relations and sends
     the quantum determinant to 1."""
-    from .algebra_a import quantum_determinant, relation_identities
     idents = []
     for ident in relation_identities():
         idents.append(Identity(

@@ -49,6 +49,13 @@ def rand_poly(rng, pres, negative):
 
 
 @pytest.mark.parametrize("name", list(MAPS))
+def test_rejects_the_other_algebra(name):
+    pres, f, _, _ = MAPS[name]
+    with pytest.raises(ValueError, match="expects an element"):
+        f(NCPoly.one(U if pres is A else A))
+
+
+@pytest.mark.parametrize("name", list(MAPS))
 def test_multiplicative_and_unital(name):
     pres, f, one, negative = MAPS[name]
     assert f(NCPoly.one(pres)) == one
