@@ -341,6 +341,8 @@ class NCPoly:
         return self * other
 
     def __pow__(self, n: int):
+        if int(n) != n:
+            raise RewriteError(f"non-integral power {n} of a polynomial")
         n = int(n)
         if n < 0:
             return self.invert() ** (-n)

@@ -138,6 +138,13 @@ class TestNormalOrder:
             (c,) = x.invert().terms.values()
             assert c == want and type(c) is type(want)
 
+    def test_non_integral_power_rejected(self):
+        for x, n in ((agen("a"), Fraction(3, 2)), (agen("b"), Fraction(-1, 2)),
+                     (agen("D", Fraction(1, 2)), Fraction(1, 2))):
+            with pytest.raises(RewriteError, match="non-integral power"):
+                x ** n
+        assert agen("a") ** Fraction(-2) == agen("a", -2)
+
     def test_map_coeffs_calls_fn_once_per_term(self):
         x = a_parse("a*d + 2*b*c - 3*d")
         seen = []
