@@ -364,6 +364,12 @@ class FracScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a zero has denominator 1 and a nonzero value is already in the
+        # form its constructor gives it, so x + 0 needs no new FracScalar
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.den == other.den:
             return FracScalar(self.num + other.num, self.den)
         return FracScalar(self.num * other.den + other.num * self.den,
@@ -384,9 +390,16 @@ class FracScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int and other == 1:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # 0 * x is that zero, as in __add__
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # cross-cancel cheaply before multiplying out
         if not d2.is_one():

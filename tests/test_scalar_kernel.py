@@ -1,6 +1,7 @@
 """Property tests of the integer-coefficient scalar kernel against
 Fraction-only dict arithmetic; they need hypothesis (the ``test`` extra)."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from qexpmap.scalars import FracScalar, HalfLaurent
+from qexpmap.scalars import (FracScalar, HalfLaurent, RadScalar,
+                             scalar_to_json)
 
 # Stored coefficients are int when integral and a Fraction with denominator
 # != 1 otherwise; values match Fraction-only dict arithmetic.
@@ -139,3 +141,65 @@ class TestIntegerCoefficientKernel:
         assert hash(x) == hash(y)
         assert x.terms == y.terms
         assert all(type(v) is int for v in y.terms.values())
+
+
+def full_add(x, y):
+    """x + y by FracScalar's general formula, with no short-circuit."""
+    if x.den == y.den:
+        return FracScalar(x.num + y.num, x.den)
+    return FracScalar(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def full_mul(x, y):
+    """x * y by FracScalar's general formula, with no short-circuit."""
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    if not d2.is_one():
+        quo = n1.divexact(d2)
+        if quo is not None:
+            n1, d2 = quo, HalfLaurent.one()
+    if not d1.is_one():
+        quo = n2.divexact(d1)
+        if quo is not None:
+            n2, d1 = quo, HalfLaurent.one()
+    return FracScalar(n1 * n2, d1 * d2)
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    assert (json.dumps(scalar_to_json(got))
+            == json.dumps(scalar_to_json(want)))
+
+
+fracscalars = st.builds(lambda n, d: FracScalar(HalfLaurent(n), HalfLaurent(d)),
+                        term_dicts, nonzero_dicts)
+TOWER_ZEROS = [0, Fraction(0), HalfLaurent.zero(), FracScalar.zero(),
+               RadScalar.zero()]
+
+
+class TestFracScalarShortCircuits:
+    # FracScalar + and * return an operand as it is when the other is an
+    # exact zero (or * the int 1); bytes must match the general formulas
+
+    @settings(deadline=None)
+    @given(fracscalars, fracscalars)
+    def test_ops_match_full_path(self, x, y):
+        for a, b in ((x, y), (y, x)):
+            assert_same(a + b, full_add(a, b))
+            assert_same(a * b, full_mul(a, b))
+        assert_same(x * 1, full_mul(x, FracScalar(1)))
+        assert_same(1 * x, full_mul(FracScalar(1), x))
+
+    @settings(deadline=None)
+    @given(fracscalars)
+    def test_zeros_of_every_tower_type(self, x):
+        zero = FracScalar.zero()
+        for z in TOWER_ZEROS:
+            if isinstance(z, RadScalar):   # RadScalar's own + and * run
+                lift = lambda v: RadScalar([(v, ())])
+            else:
+                lift = lambda v: v
+            for got in (x + z, z + x):
+                assert_same(got, lift(full_add(x, zero)))
+            for got in (x * z, z * x):
+                assert_same(got, lift(full_mul(x, zero)))
