@@ -141,13 +141,22 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     one = NCPoly.one(pres)
 
     left = qexp(-1, jm_hat.map(lambda s: gamma * s), one)
-    a = agen("a")
+    # apow[n] = a^n and wpow[n] = w^n, each power formed once, by the
+    # products that ** forms
+    a, apow, wpow = agen("a"), [one], [one]
+    for _ in range(rep.dim - 1):
+        apow.append(apow[-1] * a)
+        wpow.append(wpow[-1] * w)
     mid = Matrix.build(
         rep.dim, rep.dim,
-        lambda r, c: (a ** int(j + mvals[r])) * (w ** int(j - mvals[r]))
+        lambda r, c: apow[rep.dim - 1 - r] * wpow[r]
         if r == c else NCPoly.zero(pres))
     right = qexp(1, jp_hat.map(lambda s: beta * s), one)
-    t = left * mid * right
+    # pushing d (in w) past a^-1 (in beta) adds correction terms: mid * right
+    # does it once per entry, and gamma^n = c^n a^-n then needs only swaps
+    # without corrections, where (left * mid) * right would do it in every
+    # product of the double sum
+    t = left * (mid * right)
 
     if any(g == "D" or (g == "a" and e < 0) for row in t.rows for x in row
            for word in x.terms for g, e in word):
@@ -324,16 +333,14 @@ def rll_identities(j) -> list[Identity]:
     dim = lp.nrows
     ident = Matrix.identity(dim, NCPoly.one(pres), NCPoly.zero(pres))
 
-    def legs(l):
-        return l.kron(ident), ident.kron(l)
-
+    # L (x) 1 and 1 (x) L for each sign, each built once
+    legs = {sign: (l.kron(ident), ident.kron(l))
+            for sign, l in (("+", lp), ("-", lm))}
     idents = []
-    for lab, l2mat, l1mat in (("(+,+)", lp, lp), ("(-,-)", lm, lm),
-                              ("(+,-)", lp, lm)):
-        l1_2, _ = legs(l1mat)
-        _, l2_1 = legs(l2mat)
+    for s2, s1 in (("+", "+"), ("-", "-"), ("+", "-")):
+        l1_2, l2_1 = legs[s1][0], legs[s2][1]
         idents.append(Identity(
-            f"R.L2.L1=L1.L2.R {lab} j={j}",
+            f"R.L2.L1=L1.L2.R ({s2},{s1}) j={j}",
             rmat * (l2_1 * l1_2), (l1_2 * l2_1) * rmat))
     return idents
 

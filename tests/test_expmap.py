@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qexpmap import rewrite
 from qexpmap.algebra_u import u_presentation, ugen
 from qexpmap.expmap import (comodule_identities, delta_l_identities, l_matrix,
                             pi_t_vs_r_identities, qexp,
@@ -74,6 +75,27 @@ class TestTMatrices:
         for fmt, suffix in (("text", "txt"), ("json", "json")):
             ref = REFS / f"t_factorized_symmetric_2j5.{suffix}"
             assert (render_matrix(t, fmt) + "\n").encode() == ref.read_bytes()
+
+    def test_rational_factorized_bytes(self):
+        # recorded with the left-to-right product (left * mid) * right
+        t = t_matrix_factorized(Fraction(5, 2), Fraction(5, 2), "rational")
+        for fmt, suffix in (("text", "txt"), ("json", "json")):
+            ref = REFS / f"t_factorized_rational_2j5.{suffix}"
+            assert (render_matrix(t, fmt) + "\n").encode() == ref.read_bytes()
+
+    def test_factorized_rewrite_steps(self, monkeypatch):
+        # left * (mid * right) pushes d past a^-1 once per entry of
+        # mid * right; the left-to-right product took 35,092 steps here
+        steps = []
+        apply_event = rewrite._apply_event
+
+        def counted(*args):
+            steps.append(None)
+            return apply_event(*args)
+
+        monkeypatch.setattr(rewrite, "_apply_event", counted)
+        t_matrix_factorized(Fraction(5, 2), Fraction(5, 2), "rational")
+        assert len(steps) <= 14_000
 
     def test_comodule_and_counit(self):
         for j, z in jz_grid(Fraction(3, 2)):
