@@ -77,7 +77,8 @@ class TestTMatrices:
             assert (render_matrix(t, fmt) + "\n").encode() == ref.read_bytes()
 
     def test_rational_factorized_bytes(self):
-        # recorded with the left-to-right product (left * mid) * right
+        # FracScalar bytes depend on the order of the products, so the
+        # refs pin them whichever way the construction associates
         t = t_matrix_factorized(Fraction(5, 2), Fraction(5, 2), "rational")
         for fmt, suffix in (("text", "txt"), ("json", "json")):
             ref = REFS / f"t_factorized_rational_2j5.{suffix}"

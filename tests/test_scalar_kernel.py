@@ -187,19 +187,20 @@ class TestFracScalarShortCircuits:
         for a, b in ((x, y), (y, x)):
             assert_same(a + b, full_add(a, b))
             assert_same(a * b, full_mul(a, b))
-        assert_same(x * 1, full_mul(x, FracScalar(1)))
-        assert_same(1 * x, full_mul(FracScalar(1), x))
+        for k in (-1, 0, 1, 2):
+            assert_same(x * k, full_mul(x, FracScalar(k)))
+            assert_same(k * x, full_mul(FracScalar(k), x))
 
     @settings(deadline=None)
     @given(fracscalars)
     def test_zeros_of_every_tower_type(self, x):
         zero = FracScalar.zero()
         for z in TOWER_ZEROS:
+            want_sum, want_prod = full_add(x, zero), full_mul(x, zero)
             if isinstance(z, RadScalar):   # RadScalar's own + and * run
-                lift = lambda v: RadScalar([(v, ())])
-            else:
-                lift = lambda v: v
+                want_sum = RadScalar([(want_sum, ())])
+                want_prod = RadScalar([(want_prod, ())])
             for got in (x + z, z + x):
-                assert_same(got, lift(full_add(x, zero)))
+                assert_same(got, want_sum)
             for got in (x * z, z * x):
-                assert_same(got, lift(full_mul(x, zero)))
+                assert_same(got, want_prod)
