@@ -72,23 +72,31 @@ def coproduct(x: NCPoly) -> NCPoly:
                 raise ValueError(
                     "coproduct is undefined on negative powers of a")
     t2 = tensor_square(pres)
+    return hom_apply(x, lambda c: NCPoly.scalar(t2, c), _coproduct_atom)
+
+
+@lru_cache(maxsize=None)
+def _coproduct_images() -> dict[str, NCPoly]:
+    t2 = tensor_square(apq_presentation())
 
     def leg(name, i):
         return NCPoly.gen(t2, f"{name}@{i}", 1)
 
-    images = {
+    return {
         "a": leg("a", 1) * leg("a", 2) + leg("b", 1) * leg("c", 2),
         "b": leg("a", 1) * leg("b", 2) + leg("b", 1) * leg("d", 2),
         "c": leg("c", 1) * leg("a", 2) + leg("d", 1) * leg("c", 2),
         "d": leg("c", 1) * leg("b", 2) + leg("d", 1) * leg("d", 2),
     }
 
-    def image(g, e):
-        if g == "D":    # group-like
-            return NCPoly(t2, [(1, (("D@1", e), ("D@2", e)))])
-        return images[g] ** e
 
-    return hom_apply(x, lambda c: NCPoly.scalar(t2, c), image)
+@lru_cache(maxsize=None)
+def _coproduct_atom(g, e) -> NCPoly:
+    """The coproduct of g^e, built once per process and shared."""
+    if g == "D":    # group-like
+        return NCPoly(tensor_square(apq_presentation()),
+                      [(1, (("D@1", e), ("D@2", e)))])
+    return _coproduct_images()[g] ** e
 
 
 _COUNIT = {"D": 1, "a": 1, "b": 0, "c": 0, "d": 1}

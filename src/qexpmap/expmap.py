@@ -10,11 +10,17 @@ The central objects:
   obtained by pushing the factorized matrix through the evaluation maps.
 * r_matrix_rep: the intertwiner restricted to a pair of spin
   representations.
+
+Each of these is built once per process for its validated arguments and
+shared by every later caller, which must not mutate it.  A shared result
+costs no rewriting, so the term guard counts only new work; a build that
+exceeds it raises and keeps nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra_a import (a_parse, agen, apq_presentation, coproduct, counit,
                         exponential_coordinates)
@@ -77,7 +83,11 @@ def t_matrix_closed(j, z, norm: str = "symmetric") -> Matrix:
 
     with P_mk the normalization prefactor.
     """
-    j, z = spin_params(j, z, norm)
+    return _t_closed(*spin_params(j, z, norm), norm)
+
+
+@lru_cache(maxsize=None)
+def _t_closed(j, z, norm) -> Matrix:
     pres = apq_presentation()
     mvals = [j - i for i in range(int(2 * j) + 1)]
 
@@ -122,9 +132,28 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     D J_sym D^-1 with D = diag(sqrt([j+m]! [j-m]!)), that is
     (J+)_{m,m-1} = [j+m] and (J-)_{m,m+1} = [j-m], the conjugation
     opposite to gamma_rep's rational form.  The rational coefficients are
-    lifted to RadScalar at the end.
+    lifted to RadScalar at the end.  Only the charge-j construction is
+    kept; each charge rescales it.
     """
     j, z = spin_params(j, z, norm)
+    pres = apq_presentation()
+    t, mvals = _factorized_core(j, norm)
+
+    def rescale(r, c):
+        entry = t[r, c] * lam_pow(int(2 * (z - j) * (mvals[r] - mvals[c])))
+        if z != j:
+            entry = NCPoly.gen(pres, "D", z - j) * entry
+        if norm == "rational":
+            entry = entry.map_coeffs(lambda cf: RadScalar([(cf, ())]))
+        return entry
+
+    return Matrix.build(t.nrows, t.ncols, rescale)
+
+
+@lru_cache(maxsize=None)
+def _factorized_core(j, norm):
+    """The factorized spin-j matrix at charge j, before the rational
+    coefficients are lifted, and its weights j, j-1, ..., -j."""
     pres = apq_presentation()
     rep = gamma_rep(j, j, norm)
     mvals = rep.mvals
@@ -161,16 +190,7 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     if any(g == "D" or (g == "a" and e < 0) for row in t.rows for x in row
            for word in x.terms for g, e in word):
         raise RewriteError("factorized matrix entry kept a localized factor")
-
-    def rescale(r, c):
-        entry = t[r, c] * lam_pow(int(2 * (z - j) * (mvals[r] - mvals[c])))
-        if z != j:
-            entry = NCPoly.gen(pres, "D", z - j) * entry
-        if norm == "rational":
-            entry = entry.map_coeffs(lambda cf: RadScalar([(cf, ())]))
-        return entry
-
-    return Matrix.build(rep.dim, rep.dim, rescale)
+    return t, tuple(mvals)
 
 
 def t_counit_identities(j, z) -> list[Identity]:
@@ -219,6 +239,12 @@ def r_matrix_rep(j1, z1, j2, z2, norm: str = "rational") -> Matrix:
     B = Q^(m) lambda^(z2) J- on the second.  The series terminates at
     n = 2 min(j1, j2).
     """
+    return _r_matrix(*spin_params(j1, z1, norm), *spin_params(j2, z2, norm),
+                     norm)
+
+
+@lru_cache(maxsize=None)
+def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
     rep1 = gamma_rep(j1, z1, norm)
     rep2 = gamma_rep(j2, z2, norm)
     amat = rep1.Jplus.scale_rows_cols(
@@ -304,7 +330,12 @@ def l_matrix(sign: str, j, norm: str = "symmetric") -> Matrix:
     """
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    j = Fraction(j)
+    j, _ = spin_params(j, j, norm)
+    return _l_matrix(sign, j, norm)
+
+
+@lru_cache(maxsize=None)
+def _l_matrix(sign, j, norm) -> Matrix:
     rep = gamma_rep(j, j, norm)
     pres = u_presentation()
     coords = exponential_coordinates()

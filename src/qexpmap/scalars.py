@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 import math
 
 
@@ -293,6 +294,11 @@ def qint(n: int) -> HalfLaurent:
     if n < 0:
         n, sign = -n, -1
     return HalfLaurent({(2 * (n - 1 - 2 * i), 0): sign for i in range(n)})
+
+
+# [n] for numeric evaluation, built once per n: a radical reads it at every
+# sample point
+_radicand = lru_cache(maxsize=None)(qint)
 
 
 def qfact(n: int) -> HalfLaurent:
@@ -620,7 +626,7 @@ class RadScalar:
         for c, rad in self.terms:
             val = c.eval_numeric(params)
             for n in rad:
-                qn = qint(n).eval_numeric(params)
+                qn = _radicand(n).eval_numeric(params)
                 if qn < 0:
                     raise EvalError(f"negative radicand [{n}] at {params}")
                 val *= math.sqrt(qn)

@@ -177,6 +177,10 @@ _BUILDERS = {
 
 IDENTITY_SUITES = tuple(sorted(_BUILDERS))
 SUITES = tuple(sorted(_BUILDERS) + ["confluence", "specialize", "all"])
+# the suites that read the max_j and the max_len option
+MAX_J_SUITES = ("all", "closed-vs-factorized", "comodule", "delta-l",
+                "pi-t-vs-r", "rep-relations", "rll", "specialize")
+MAX_LEN_SUITES = ("all", "confluence")
 
 
 def _run_confluence(opts) -> list[CheckResult]:

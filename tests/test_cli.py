@@ -200,6 +200,33 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: --")
 
+    @pytest.mark.parametrize("args", [
+        "--suite closed-vs-factorized --max-j 0", "--suite rll --max-j -1",
+        "--suite rll --max-j 3/4", "--suite all --max-j 1/4",
+        "--suite confluence --max-len 0", "--suite all --max-len 1",
+        "--suite qdet --max-j 5", "--suite lie-coords --max-len 3",
+        "--suite specialize --max-len 3", "--suite confluence --max-j 1",
+        "--suite comodule --j 1 --max-j 2"])
+    def test_vacuous_or_unread_range_exit_two(self, capsys, args):
+        # a range that selects no check, or one the suite does not read,
+        # would report a pass that checked nothing it was asked to
+        code, out, err = run(capsys, "verify", *args.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
+
+    def test_smallest_ranges_check_something(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "rll",
+                           "--max-j", "1/2")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks] == ["rll(j=1/2)"]
+        code, out, _ = run(capsys, "verify", "--suite", "confluence",
+                           "--max-len", "2")
+        assert code == 0
+        for check in json.loads(out)["checks"]:
+            assert check["notes"] != ["words checked: 0"]
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "--suite", "lie-coords",

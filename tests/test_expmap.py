@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qexpmap import rewrite
+from qexpmap import algebra_a, expmap, goldens, rewrite
+from qexpmap.cli import main
 from qexpmap.algebra_u import u_presentation, ugen
 from qexpmap.expmap import (comodule_identities, delta_l_identities, l_matrix,
                             pi_t_vs_r_identities, qexp,
@@ -21,6 +23,16 @@ import oracles
 
 HALF = Fraction(1, 2)
 REFS = Path(__file__).parent / "refs"
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.fixture
+def fresh_caches():
+    """Forget every construction built so far in this process."""
+    for cache in (expmap._t_closed, expmap._factorized_core,
+                  expmap._l_matrix, expmap._r_matrix,
+                  algebra_a._coproduct_atom):
+        cache.cache_clear()
 
 
 def assert_all(identities):
@@ -84,7 +96,7 @@ class TestTMatrices:
             ref = REFS / f"t_factorized_rational_2j5.{suffix}"
             assert (render_matrix(t, fmt) + "\n").encode() == ref.read_bytes()
 
-    def test_factorized_rewrite_steps(self, monkeypatch):
+    def test_factorized_rewrite_steps(self, monkeypatch, fresh_caches):
         # left * (mid * right) pushes d past a^-1 once per entry of
         # mid * right; the left-to-right product took 35,092 steps here
         steps = []
@@ -199,3 +211,63 @@ class TestIntertwiners:
     def test_tprime_vs_r(self):
         for j1, j2 in ((HALF, HALF), (HALF, Fraction(1)), (Fraction(1), HALF)):
             assert_all(tprime_r_identities(j1, j2))
+
+
+class TestSharedConstructions:
+    def test_charges_share_one_core(self, monkeypatch, fresh_caches):
+        steps = []
+        apply_event = rewrite._apply_event
+
+        def counted(*args):
+            steps.append(None)
+            return apply_event(*args)
+
+        monkeypatch.setattr(rewrite, "_apply_event", counted)
+        j = Fraction(3, 2)
+        per_charge = []
+        for z in (j, j - HALF, j - 1):
+            before = len(steps)
+            fact = t_matrix_factorized(j, z, "rational")
+            per_charge.append(len(steps) - before)
+            assert (fact - t_matrix_closed(j, z, "rational")).is_zero()
+        # only the first charge builds the core; the others rescale it
+        assert per_charge[0] > 0 and per_charge[1:] == [0, 0]
+
+    def test_normalized_arguments_share_one_build(self):
+        assert t_matrix_closed(1, HALF) is t_matrix_closed(
+            Fraction(1), "1/2", "symmetric")
+        assert l_matrix("+", 1) is l_matrix("+", Fraction(2, 2), "symmetric")
+        assert r_matrix_rep(1, 0, HALF, 0) is r_matrix_rep(
+            Fraction(1), Fraction(0), HALF, Fraction(0), "rational")
+        with pytest.raises(rewrite.UsageError):
+            t_matrix_closed(Fraction(1, 3), 0)
+        with pytest.raises(rewrite.UsageError):
+            l_matrix("+", -1)
+        with pytest.raises(rewrite.UsageError):
+            r_matrix_rep(HALF, 0, 1, 0, "other")
+
+    def test_verify_runs_share_and_keep_constructions(self, tmp_path,
+                                                      fresh_caches):
+        built = {name: build()
+                 for name, build in goldens.GOLDEN_BUILDERS.items()}
+        ref = (REFS / "verify_all.json").read_bytes()
+        for run in ("first", "second"):
+            path = tmp_path / f"{run}.json"
+            assert main(["verify", "--suite", "all", "--out", str(path)]) == 0
+            assert path.read_bytes() == ref, run
+        for name, build in goldens.GOLDEN_BUILDERS.items():
+            assert build() is built[name], name
+        assert goldens.compare(GOLDENS) == []
+
+    def test_guard_bounds_a_fresh_build(self, monkeypatch, fresh_caches):
+        j = Fraction(3, 2)
+        monkeypatch.setenv("QEXPMAP_GUARD", "100")
+        with pytest.raises(rewrite.GuardExceeded):
+            t_matrix_factorized(j, j, "rational")
+        monkeypatch.delenv("QEXPMAP_GUARD")
+        # the failed build left nothing behind: the digest was recorded
+        # with earlier code, which kept no construction between calls
+        t = t_matrix_factorized(j, j, "rational")
+        digest = hashlib.sha256(render_matrix(t, "json").encode())
+        assert digest.hexdigest() == ("00628909cfae8eadb3da398e3450d2a5"
+                                      "c87c3cf33bcf5481cfa24383ef2c4d5b")

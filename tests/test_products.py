@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qexpmap import rewrite
+from qexpmap import algebra_a, rewrite
 from qexpmap.algebra_a import a_parse, apq_presentation, coproduct
 from qexpmap.algebra_u import u_presentation
 from qexpmap.rewrite import NCPoly, leg_name, tensor, tensor_square
@@ -133,6 +133,12 @@ def test_hom_apply_builds_each_power_once(monkeypatch):
         calls.append(n)
         return power(self, n)
 
+    x = a_parse("a^2*b + a^2*c + b")
+    algebra_a._coproduct_atom.cache_clear()
     monkeypatch.setattr(NCPoly, "__pow__", counting)
-    coproduct(a_parse("a^2*b + a^2*c + b"))
+    first = coproduct(x)
     assert sorted(calls) == [1, 1, 2]
+    calls.clear()
+    second = coproduct(x)
+    assert calls == []
+    assert fingerprint(second) == fingerprint(first)

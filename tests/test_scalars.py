@@ -118,6 +118,22 @@ class TestRadScalar:
             b = RadScalar(list(x.terms)).eval_numeric(params)
             assert math.isclose(a, b, rel_tol=1e-12)
 
+    def test_numeric_value_of_radicals(self):
+        params = NumericParams(1.3, 0.7)
+        x = RadScalar.sqrt_qints([2, 3], Fraction(5, 3))
+        ((c, rad),) = x.terms
+        assert rad == (2, 3)
+        # the evaluation's own loop, with each q-integer built afresh
+        want = c.eval_numeric(params)
+        for n in rad:
+            want *= math.sqrt(qint(n).eval_numeric(params))
+        assert x.eval_numeric(params) == want
+        assert x.eval_numeric(params) == want
+        Q = params.Q
+        assert math.isclose(
+            want, 5 / 3 * math.sqrt((Q + 1 / Q) * (Q * Q + 1 + 1 / (Q * Q))),
+            rel_tol=1e-12)
+
     def test_index_one_dropped(self):
         assert RadScalar.sqrt_qints([1, 2]) == RadScalar.sqrt_qints([2])
 

@@ -72,3 +72,27 @@ def test_exact_failure_is_skipped_numerically(bogus, suite):
                         "confluence(apq,max_len=2)",
                         "confluence(uq,max_len=2)"}}
     assert set(results) == expected[suite]
+
+
+class _Reads(dict):
+    """Options that record which keys a suite builder reads."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+def test_max_j_suites_are_those_that_read_it():
+    # every builder reads its options before it builds its first check
+    readers = set()
+    for name, builder in suites._BUILDERS.items():
+        seen = set()
+        next(iter(builder(_Reads(seen))))
+        assert "max_len" not in seen, name
+        if "max_j" in seen:
+            readers.add(name)
+    assert set(suites.MAX_J_SUITES) == readers | {"all", "specialize"}
