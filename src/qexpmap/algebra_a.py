@@ -13,7 +13,7 @@ from functools import lru_cache
 from . import parser
 from .reporting import Identity
 from .rewrite import (INVERTIBLE, ORDINARY, SCALING, NCPoly, Presentation,
-                      hom_apply, tensor, tensor_square)
+                      hom_apply, leg_name, tensor, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, lam_pow, p_pow, q_pow)
 
 
@@ -72,7 +72,8 @@ def coproduct(x: NCPoly) -> NCPoly:
                 raise ValueError(
                     "coproduct is undefined on negative powers of a")
     t2 = tensor_square(pres)
-    return hom_apply(x, lambda c: NCPoly.scalar(t2, c), _coproduct_atom)
+    return hom_apply(x, lambda c: NCPoly.scalar(t2, c),
+                     lambda g, e: _coproduct_atom(_coproduct_images, g, e))
 
 
 @lru_cache(maxsize=None)
@@ -91,12 +92,15 @@ def _coproduct_images() -> dict[str, NCPoly]:
 
 
 @lru_cache(maxsize=None)
-def _coproduct_atom(g, e) -> NCPoly:
-    """The coproduct of g^e, built once per process and shared."""
-    if g == "D":    # group-like
-        return NCPoly(tensor_square(apq_presentation()),
-                      [(1, (("D@1", e), ("D@2", e)))])
-    return _coproduct_images()[g] ** e
+def _coproduct_atom(images, g, e) -> NCPoly:
+    """The coproduct of g^e, built once per process and shared, for the
+    coproduct whose generator images images() returns in the tensor square;
+    a generator without an image is group-like."""
+    image = images()
+    if g in image:
+        return image[g] ** e
+    t2 = next(iter(image.values())).pres
+    return NCPoly(t2, [(1, ((leg_name(g, 1), e), (leg_name(g, 2), e)))])
 
 
 _COUNIT = {"D": 1, "a": 1, "b": 0, "c": 0, "d": 1}

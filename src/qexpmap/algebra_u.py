@@ -12,14 +12,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import parser
-from .algebra_a import (apq_presentation, quantum_determinant,
-                        relation_identities)
+from .algebra_a import (_coproduct_atom, apq_presentation,
+                        quantum_determinant, relation_identities)
 from .matrices import Matrix
 from .reporting import Identity
 from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, UsageError,
                       hom_apply, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, ScalarError,
-                      lift_scalar, qint, scalar_lambda_one, scalar_level)
+                      lift_scalar, qint, scalar_lambda_one)
 
 
 @lru_cache(maxsize=None)
@@ -78,21 +78,21 @@ def u_coproduct(x: NCPoly) -> NCPoly:
     if x.pres is not pres:
         raise ValueError("u_coproduct expects an element of the uq algebra")
     t2 = tensor_square(pres)
+    return hom_apply(x, lambda c: NCPoly.scalar(t2, c),
+                     lambda g, e: _coproduct_atom(_u_coproduct_images, g, e))
+
+
+@lru_cache(maxsize=None)
+def _u_coproduct_images() -> dict[str, NCPoly]:
+    t2 = tensor_square(u_presentation())
 
     def leg(name, i, exp=1):
         return NCPoly.gen(t2, f"{name}@{i}", exp)
 
-    images = {
+    return {
         "e": leg("e", 1) * leg("k", 2, -1) + leg("k", 1) * leg("e", 2),
         "f": leg("f", 1) * leg("k", 2, -1) + leg("k", 1) * leg("f", 2),
     }
-
-    def image(g, e):
-        if g == "k":    # group-like
-            return NCPoly(t2, [(1, (("k@1", e), ("k@2", e)))])
-        return images[g] ** e
-
-    return hom_apply(x, lambda c: NCPoly.scalar(t2, c), image)
 
 
 def pi_images(sign: str) -> dict:
@@ -302,7 +302,7 @@ def rep_relation_identities(rep: Rep) -> list[Identity]:
         Identity(f"rep(j={rep.j}).casimir-ladders",
                  E * F, rep.diag(lambda m: lift_scalar(
                      FracScalar(qint(int(rep.j + m)) * qint(int(rep.j - m + 1))),
-                     scalar_level(rep.one_entry())))),
+                     type(rep.one_entry())))),
     ]
 
 

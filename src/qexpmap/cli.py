@@ -104,13 +104,7 @@ def _cmd_normal_order(args) -> int:
     return EXIT_OK
 
 
-def _half_integer(name, value):
-    if (2 * value).denominator != 1 or value < 0:
-        raise UsageError(f"{name} must be a non-negative half-integer")
-
-
 def _cmd_tmatrix(args) -> int:
-    _half_integer("j", args.j)
     build = expmap.t_matrix_closed if args.form == "closed" \
         else expmap.t_matrix_factorized
     print(render_matrix(build(args.j, args.z, args.norm), args.format))
@@ -118,15 +112,12 @@ def _cmd_tmatrix(args) -> int:
 
 
 def _cmd_lmatrix(args) -> int:
-    _half_integer("j", args.j)
     print(render_matrix(expmap.l_matrix(args.sign, args.j, args.norm),
                         args.format))
     return EXIT_OK
 
 
 def _cmd_rmatrix(args) -> int:
-    _half_integer("j1", args.j1)
-    _half_integer("j2", args.j2)
     print(render_matrix(
         expmap.r_matrix_rep(args.j1, args.z1, args.j2, args.z2, args.norm),
         args.format))

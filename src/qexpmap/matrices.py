@@ -19,10 +19,8 @@ unchanged.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rewrite import NCPoly
-from .scalars import FracScalar, HalfLaurent, RadScalar, scalar_is_zero
+from .scalars import RANK, FracScalar, lift_scalar, scalar_is_zero
 
 
 class MatrixError(ArithmeticError):
@@ -30,9 +28,8 @@ class MatrixError(ArithmeticError):
 
 
 # promotion order of + and * among entry types: a sum or product takes the
-# type of its higher-ranked operand
-_TYPE_RANK = {int: 0, Fraction: 1, HalfLaurent: 2, FracScalar: 3,
-              RadScalar: 4, NCPoly: 5}
+# type of its higher-ranked operand; a polynomial ranks above every scalar
+_TYPE_RANK = {**RANK, NCPoly: len(RANK)}
 
 
 def _tagged(entries):
@@ -163,8 +160,7 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise MatrixError("inverse of non-square matrix")
-        work = [[x if isinstance(x, FracScalar) else FracScalar(x)
-                 for x in row] for row in self.rows]
+        work = [[lift_scalar(x, FracScalar) for x in row] for row in self.rows]
         result = [[FracScalar.one() if i == j else FracScalar.zero()
                    for j in range(n)] for i in range(n)]
         for col in range(n):

@@ -11,18 +11,17 @@ Grammar:
 
 Scalar names parse to HalfLaurent monomials ('p' = Q*lambda, 'q' =
 Q*lambda^-1; under a lambda_one presentation both read as Q).  The result
-is the polynomial denoted by the expression, in normal form: the expanded
-terms are validated once, like terms are merged, and the rewrite engine
-runs once.
+is the polynomial denoted by the expression, built by the NCPoly
+constructor from the expanded terms: each is validated once, like terms are
+merged, and the rewrite engine runs once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rewrite import (NCPoly, ParseError, Presentation, SCALING,
-                      _validate_atoms, normal_order_terms)
-from .scalars import HalfLaurent, scalar_is_zero
+from .rewrite import NCPoly, ParseError, Presentation, SCALING
+from .scalars import HalfLaurent
 
 
 def _tokenize(text):
@@ -203,15 +202,4 @@ def parse(text: str, pres: Presentation) -> NCPoly:
     presentation does not allow, such as a negative power of a
     non-invertible generator, even when that term cancels.
     """
-    merged = {}
-    for c, atoms in _Parser(text, pres).parse():
-        _validate_atoms(pres, atoms)
-        atoms = tuple(a for a in atoms if a[1])
-        acc = merged.get(atoms)
-        acc = c if acc is None else acc + c
-        if scalar_is_zero(acc):
-            merged.pop(atoms, None)
-        else:
-            merged[atoms] = acc
-    terms = normal_order_terms(pres, [(c, w) for w, c in merged.items()])
-    return NCPoly._from_normal(pres, terms)
+    return NCPoly(pres, _Parser(text, pres).parse())

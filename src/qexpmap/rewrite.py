@@ -14,8 +14,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .scalars import (FracScalar, HalfLaurent, scalar_is_zero, scalar_to_json,
-                      scalar_from_json, NumericParams,
+from .scalars import (FracScalar, HalfLaurent, lift_scalar, scalar_is_zero,
+                      scalar_to_json, scalar_from_json, NumericParams,
                       eval_numeric)
 
 ORDINARY = "ordinary"
@@ -129,7 +129,7 @@ def _invert(rule, z):
     for z inverted: Y X^-1 = kappa^-1 X^-1 Y - kappa^-1 X^-1 C X^-1, or
     Y^-1 X = kappa^-1 X Y^-1 - kappa^-1 Y^-1 C Y^-1."""
     kappa, corr = rule
-    ki = kappa.inverse() if isinstance(kappa, FracScalar) else FracScalar(kappa).inverse()
+    ki = lift_scalar(kappa, FracScalar).inverse()
     zi = (z[0], -z[1])
     new_corr = tuple((-(ki * c), (zi,) + tuple(w) + (zi,)) for c, w in corr)
     return (ki, new_corr)
@@ -219,6 +219,9 @@ def normal_order_terms(pres, terms, guard=None):
 
 
 def _validate_atoms(pres, atoms):
+    """The atoms with Fraction exponents and without zero powers, once each
+    is one the presentation allows; RewriteError otherwise."""
+    out = []
     for g, e in atoms:
         if g not in pres.order:
             raise RewriteError(f"unknown generator {g!r}")
@@ -230,6 +233,9 @@ def _validate_atoms(pres, atoms):
             raise RewriteError(f"fractional power of non-scaling generator {g}")
         elif e < 0 and not pres.is_invertible(g):
             raise RewriteError(f"negative power of non-invertible {g}")
+        if e:
+            out.append((g, e))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +251,25 @@ class NCPoly:
 
     Words are tuples of (generator, exponent).  The terms are always in PBW
     normal form, a dict from normal word to nonzero coefficient: the
-    constructor validates and normal-orders its raw (coeff, atoms) terms,
-    and arithmetic relies on that.
+    constructor validates each raw (coeff, atoms) term, merges like terms
+    and normal-orders the sum once, and arithmetic relies on that.
     """
 
     __slots__ = ("pres", "terms")
 
     def __init__(self, pres, terms):
-        items = [(c, tuple((g, Fraction(e)) for g, e in atoms))
-                 for c, atoms in terms]
-        for _, atoms in items:
-            _validate_atoms(pres, atoms)
+        merged = {}
+        for c, atoms in terms:
+            atoms = _validate_atoms(pres, atoms)
+            acc = merged.get(atoms)
+            acc = c if acc is None else acc + c
+            if scalar_is_zero(acc):
+                merged.pop(atoms, None)
+            else:
+                merged[atoms] = acc
         self.pres = pres
-        self.terms = normal_order_terms(pres, items)
+        self.terms = normal_order_terms(
+            pres, [(c, w) for w, c in merged.items()])
 
     # -- constructors
 

@@ -14,6 +14,12 @@ Three layers, each closed under the operations the algebra engines need:
 * ``RadScalar``     -- finite sums c * sqrt([n1]_Q ... [nk]_Q) with
   FracScalar coefficients.  Radicands are multisets of q-integer indices,
   which is closed under multiplication and has a canonical normal form.
+
+With ``int`` and ``Fraction`` they form one tower, in the promotion order
+int < Fraction < HalfLaurent < FracScalar < RadScalar.  ``RANK`` is the one
+place that order is written: ``+ - * /`` and ``==`` on two tower values lift
+the lower-ranked operand with ``lift_scalar`` and give the type of the
+higher-ranked one.  ``_Scalar`` holds the plumbing the three classes share.
 """
 
 from __future__ import annotations
@@ -32,6 +38,58 @@ class EvalError(ScalarError):
     """Numeric evaluation failed (vanishing denominator etc.)."""
 
 
+class _Scalar:
+    """What the three tower classes share: coercion by RANK, the operators
+    derived from +, *, negation and inverse(), powers, and display."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        """other as a value of this type: as it is when it has the type,
+        lifted when it ranks lower, else None."""
+        cls = type(self)
+        if type(other) is cls:
+            return other
+        rank = RANK.get(type(other))
+        if rank is None or rank > RANK[cls]:
+            return None
+        return lift_scalar(other, cls)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        n = int(n)
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        from .render import scalar_str
+        return scalar_str(self)
+
+
 # ---------------------------------------------------------------------------
 # HalfLaurent
 
@@ -46,7 +104,7 @@ def _div(a, b):
     return Fraction(a, b)
 
 
-class HalfLaurent:
+class HalfLaurent(_Scalar):
     """Laurent polynomial in half powers of Q and lambda.
 
     ``terms`` maps an exponent pair ``(u, v)`` to a nonzero rational
@@ -102,13 +160,6 @@ class HalfLaurent:
 
     # -- ring operations
 
-    def _coerce(self, other):
-        if isinstance(other, HalfLaurent):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return HalfLaurent.const(other)
-        return None
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -126,15 +177,6 @@ class HalfLaurent:
 
     def __neg__(self):
         return HalfLaurent({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -258,13 +300,6 @@ class HalfLaurent:
             terms[(t["qhalf"], t["lhalf"])] = Fraction(t["num"], t["den"])
         return HalfLaurent(terms)
 
-    def __repr__(self):
-        return f"HalfLaurent({self})"
-
-    def __str__(self):
-        from .render import scalar_str
-        return scalar_str(self)
-
 
 # convenient monomial builders: p = Q*lambda, q = Q/lambda
 
@@ -315,7 +350,7 @@ def qfact(n: int) -> HalfLaurent:
 # FracScalar
 
 
-class FracScalar:
+class FracScalar(_Scalar):
     """Element of the fraction field of HalfLaurent.
 
     No canonical form is maintained: equality is decided by
@@ -327,8 +362,9 @@ class FracScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        num = _to_halflaurent(num)
-        den = HalfLaurent.one() if den is None else _to_halflaurent(den)
+        num = lift_scalar(num, HalfLaurent)
+        den = HalfLaurent.one() if den is None \
+            else lift_scalar(den, HalfLaurent)
         if den.is_zero():
             raise ZeroDivisionError("FracScalar with zero denominator")
         if num.is_zero():
@@ -359,13 +395,6 @@ class FracScalar:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def _coerce(self, other):
-        if isinstance(other, FracScalar):
-            return other
-        if isinstance(other, (int, Fraction, HalfLaurent)):
-            return FracScalar(other)
-        return None
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -385,15 +414,6 @@ class FracScalar:
 
     def __neg__(self):
         return FracScalar(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is int and other == 1:
@@ -425,24 +445,6 @@ class FracScalar:
             raise ZeroDivisionError("inverse of zero FracScalar")
         return FracScalar(self.den, self.num)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        n = int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = FracScalar.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -465,27 +467,12 @@ class FracScalar:
         return FracScalar(HalfLaurent.from_json(data["num"]),
                           HalfLaurent.from_json(data["den"]))
 
-    def __repr__(self):
-        return f"FracScalar({self})"
-
-    def __str__(self):
-        from .render import scalar_str
-        return scalar_str(self)
-
-
-def _to_halflaurent(x) -> HalfLaurent:
-    if isinstance(x, HalfLaurent):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return HalfLaurent.const(x)
-    raise TypeError(f"cannot interpret {x!r} as HalfLaurent")
-
 
 # ---------------------------------------------------------------------------
 # RadScalar
 
 
-class RadScalar:
+class RadScalar(_Scalar):
     """Sum of terms c * sqrt([n1]_Q * ... * [nk]_Q), c a FracScalar.
 
     Normal form: every radicand multiset is square-free (paired indices are
@@ -498,8 +485,7 @@ class RadScalar:
     def __init__(self, terms=()):
         bucket = {}
         for coeff, rad in terms:
-            if not isinstance(coeff, FracScalar):
-                coeff = FracScalar(coeff)
+            coeff = lift_scalar(coeff, FracScalar)
             newrad = []
             for n, cnt in sorted(Counter(rad).items()):
                 n = int(n)
@@ -537,8 +523,7 @@ class RadScalar:
     @staticmethod
     def sqrt_qints(indices, coeff=1) -> "RadScalar":
         """coeff * sqrt(prod [n]_Q for n in indices)."""
-        return RadScalar([(FracScalar(coeff) if not isinstance(coeff, FracScalar)
-                           else coeff, tuple(indices))])
+        return RadScalar([(coeff, tuple(indices))])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -546,14 +531,6 @@ class RadScalar:
     def is_one(self) -> bool:
         return (len(self.terms) == 1 and self.terms[0][1] == ()
                 and self.terms[0][0].is_one())
-
-    def _coerce(self, other):
-        if isinstance(other, RadScalar):
-            return other
-        if isinstance(other, (int, Fraction, HalfLaurent, FracScalar)):
-            return RadScalar([(FracScalar(other) if not isinstance(other, FracScalar)
-                               else other, ())])
-        return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -565,15 +542,6 @@ class RadScalar:
 
     def __neg__(self):
         return RadScalar([(-c, r) for c, r in self.terms])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -587,15 +555,6 @@ class RadScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        n = int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RadScalar.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def inverse(self) -> "RadScalar":
         """Inverse of a single-term radical: 1/(c sqrt(r)) = sqrt(r)/(c prod[n])."""
         if len(self.terms) != 1:
@@ -605,12 +564,6 @@ class RadScalar:
         for n in rad:
             denom = denom * FracScalar(qint(n))
         return RadScalar([(denom.inverse(), rad)])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -640,13 +593,6 @@ class RadScalar:
     def from_json(data) -> "RadScalar":
         return RadScalar([(FracScalar.from_json(t["coeff"]), tuple(t["rad"]))
                           for t in data])
-
-    def __repr__(self):
-        return f"RadScalar({self})"
-
-    def __str__(self):
-        from .render import scalar_str
-        return scalar_str(self)
 
 
 # ---------------------------------------------------------------------------
@@ -687,30 +633,26 @@ def eval_numeric(x, params: NumericParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# coercion helpers shared with the rewriting engine
+# the promotion order, and helpers shared with the other layers
 
 
-_LEVEL = {int: 0, Fraction: 0, HalfLaurent: 1, FracScalar: 2, RadScalar: 3}
+# a sum, difference, product or quotient of two tower values has the type
+# of its higher-ranked operand
+RANK = {int: 0, Fraction: 1, HalfLaurent: 2, FracScalar: 3, RadScalar: 4}
 
 
-def scalar_level(x) -> int:
-    return _LEVEL[type(x)]
-
-
-def lift_scalar(x, level: int):
-    """Lift x up the tower to the given level."""
-    cur = scalar_level(x)
-    if cur > level:
-        raise ScalarError("cannot lower a scalar down the tower")
-    while cur < level:
-        if cur == 0:
-            x = HalfLaurent.const(x)
-        elif cur == 1:
-            x = FracScalar(x)
-        else:
-            x = RadScalar([(x, ())])
-        cur += 1
-    return x
+def lift_scalar(x, cls):
+    """x as a value of the tower type cls, which ranks no lower than x's."""
+    if type(x) is cls:
+        return x
+    rank = RANK.get(type(x))
+    if rank is None or rank > RANK[cls]:
+        raise ScalarError(f"cannot lift {type(x).__name__} to {cls.__name__}")
+    if cls is HalfLaurent:
+        return HalfLaurent.const(x)
+    if cls is RadScalar:
+        return RadScalar([(x, ())])
+    return cls(x)     # Fraction or FracScalar
 
 
 def scalar_is_zero(x) -> bool:

@@ -192,7 +192,7 @@ def _run_confluence(opts) -> list[CheckResult]:
             f"confluence({pres.name},max_len={max_len})",
             {"presentation": pres.name, "max_len": max_len},
             report.confluent,
-            [{"word": w} for w in report.counterexamples],
+            report.counterexamples,
             [f"words checked: {report.words_checked}"]))
     return results
 

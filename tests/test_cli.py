@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -147,9 +148,19 @@ class TestMatrixCommands:
         ref = Path(__file__).parent / "refs" / "render_latex.txt"
         assert "".join(got).encode() == ref.read_bytes()
 
-    def test_bad_spin_exit_two(self, capsys):
-        code, _, err = run(capsys, "tmatrix", "--j", "1/3", "--z", "0")
+    @pytest.mark.parametrize("j", ["1/3", "-1/2"],
+                             ids=["one_third", "minus_half"])
+    @pytest.mark.parametrize("command", ["tmatrix", "lmatrix", "rmatrix"])
+    def test_bad_spin_exit_two(self, capsys, command, j):
+        # --j=-1/2, since argparse reads a lone -1/2 as an option
+        args = {"tmatrix": [f"--j={j}", f"--z={j}"],
+                "lmatrix": ["--sign", "+", f"--j={j}"],
+                "rmatrix": [f"--j1={j}", f"--z1={j}", "--j2", "1/2",
+                            "--z2", "1/2"]}[command]
+        code, _, err = run(capsys, command, *args)
         assert code == 2
+        assert err == ("error: spin j must be a non-negative half-integer, "
+                       f"got {Fraction(j)}\n")
 
     @pytest.mark.parametrize("form", ["closed", "factorized"])
     def test_bad_charge_exit_two(self, capsys, form):

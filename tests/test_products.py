@@ -14,7 +14,7 @@ import pytest
 
 from qexpmap import algebra_a, rewrite
 from qexpmap.algebra_a import a_parse, apq_presentation, coproduct
-from qexpmap.algebra_u import u_presentation
+from qexpmap.algebra_u import u_coproduct, u_parse, u_presentation
 from qexpmap.rewrite import NCPoly, leg_name, tensor, tensor_square
 from qexpmap.scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar,
                              lam_pow, qint, scalar_to_json)
@@ -140,5 +140,24 @@ def test_hom_apply_builds_each_power_once(monkeypatch):
     assert sorted(calls) == [1, 1, 2]
     calls.clear()
     second = coproduct(x)
+    assert calls == []
+    assert fingerprint(second) == fingerprint(first)
+
+
+def test_u_coproduct_builds_each_power_once(monkeypatch):
+    calls = []
+    power = NCPoly.__pow__
+
+    def counting(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    x = u_parse("e^2*f + k*e^2 + f")
+    algebra_a._coproduct_atom.cache_clear()
+    monkeypatch.setattr(NCPoly, "__pow__", counting)
+    first = u_coproduct(x)
+    assert sorted(calls) == [1, 1, 2]
+    calls.clear()
+    second = u_coproduct(x)
     assert calls == []
     assert fingerprint(second) == fingerprint(first)

@@ -2,6 +2,7 @@
 Fraction-only dict arithmetic; they need hypothesis (the ``test`` extra)."""
 
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from qexpmap.scalars import (FracScalar, HalfLaurent, RadScalar,
-                             scalar_to_json)
+from qexpmap import matrices
+from qexpmap.rewrite import NCPoly
+from qexpmap.scalars import (RANK, FracScalar, HalfLaurent, RadScalar,
+                             ScalarError, lift_scalar, scalar_to_json)
 
 # Stored coefficients are int when integral and a Fraction with denominator
 # != 1 otherwise; values match Fraction-only dict arithmetic.
@@ -204,3 +207,64 @@ class TestFracScalarShortCircuits:
                 assert_same(got, want_sum)
             for got in (x * z, z * x):
                 assert_same(got, want_prod)
+
+
+# one value of each tower type, in promotion order; monomials and
+# single-term radicals are drawn often, so that division has divisors
+TOWER = (int, Fraction, HalfLaurent, FracScalar, RadScalar)
+monomial_dicts = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), coeffs,
+    min_size=1, max_size=1)
+laurents = st.one_of(monomial_dicts, term_dicts).map(HalfLaurent)
+radicals = st.one_of(
+    st.builds(RadScalar.sqrt_qints, st.lists(st.integers(1, 4), max_size=2),
+              fracscalars),
+    st.builds(lambda x, y: x + y,
+              st.builds(RadScalar.sqrt_qints, st.just([2]), fracscalars),
+              fracscalars))
+tower_values = st.tuples(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    laurents, fracscalars, radicals)
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+
+
+class TestPromotionOrder:
+    def test_one_table(self):
+        assert list(RANK) == list(TOWER)
+        assert {t: r for t, r in matrices._TYPE_RANK.items()
+                if t is not NCPoly} == RANK
+
+    @settings(deadline=None, max_examples=25)
+    @given(tower_values, tower_values)
+    def test_result_has_the_higher_type(self, xs, ys):
+        for a in xs:
+            for b in ys:
+                top = max(type(a), type(b), key=RANK.__getitem__)
+                for name, op in OPS.items():
+                    if name == "/" and top is int:
+                        continue    # int / int leaves the tower
+                    try:
+                        want = op(lift_scalar(a, top), lift_scalar(b, top))
+                    except (ScalarError, ZeroDivisionError) as exc:
+                        # a divisor that inverse() cannot invert
+                        with pytest.raises(type(exc)):
+                            op(a, b)
+                        continue
+                    got = op(a, b)
+                    assert type(got) is top, (type(a), name, type(b))
+                    assert got == want
+
+    @settings(deadline=None, max_examples=25)
+    @given(tower_values)
+    def test_lift_keeps_the_value(self, xs):
+        for x in xs:
+            for cls in TOWER:
+                if RANK[cls] < RANK[type(x)]:
+                    with pytest.raises(ScalarError):
+                        lift_scalar(x, cls)
+                    continue
+                lifted = lift_scalar(x, cls)
+                assert type(lifted) is cls
+                assert lifted == x and x == lifted

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qexpmap import suites
+from qexpmap.confluence import ConfluenceReport
 from qexpmap.reporting import Identity
 from qexpmap.scalars import Q_pow
 
@@ -96,3 +97,23 @@ def test_max_j_suites_are_those_that_read_it():
         if "max_j" in seen:
             readers.add(name)
     assert set(suites.MAX_J_SUITES) == readers | {"all", "specialize"}
+
+
+COUNTEREXAMPLE = {"word": [["d", "1"], ["a", "1"]],
+                  "forms": ["a*d", "a*d + 1"]}
+
+
+def test_confluence_residuals_are_the_counterexamples(monkeypatch):
+    def failing(pres, max_len):
+        return ConfluenceReport(pres.name, max_len, words_checked=1,
+                                confluent=False,
+                                counterexamples=[COUNTEREXAMPLE])
+
+    monkeypatch.setattr(suites, "confluence_check", failing)
+    results = suites.run_suite("confluence", max_len=2)
+    assert [r.check for r in results] == ["confluence(apq,max_len=2)",
+                                          "confluence(uq,max_len=2)"]
+    for r in results:
+        assert not r.passed
+        assert r.residuals == [COUNTEREXAMPLE]
+        assert r.to_json()["residuals"] == [COUNTEREXAMPLE]
