@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -35,8 +36,19 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through add_subparsers each of its
+    subparsers, that takes -1/2 for a negative number as it takes -1, so
+    `--z -1/2` reads like `--z=-1/2` instead of as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="qexpmap",
         description="Exact symbolic toolkit for the two-parameter quantum "
                     "group of 2x2 matrices and its dual algebra.")

@@ -3,7 +3,9 @@
 For every word up to a given length, explores *all* orders in which
 reducible positions can be rewritten (not just the engine's leftmost
 strategy) and verifies that every maximal rewrite sequence reaches the
-same polynomial.
+same polynomial value.  The distinct values reachable from a word are
+kept in the order they were first reached, so a counterexample report is
+the same in every run.
 """
 
 from __future__ import annotations
@@ -14,28 +16,6 @@ from fractions import Fraction
 
 from .rewrite import (GuardExceeded, NCPoly, Presentation, _apply_event,
                       term_guard)
-from .scalars import FracScalar, HalfLaurent, RadScalar, scalar_is_zero
-
-
-def _coeff_key(c):
-    """Hashable structural key for a coefficient (collisions impossible;
-    distinct structures may represent equal values, which only costs a
-    recomputation)."""
-    if isinstance(c, (int, Fraction, HalfLaurent)):
-        return c
-    if isinstance(c, FracScalar):
-        return ("frac", c.num, c.den)
-    if isinstance(c, RadScalar):
-        return ("rad", tuple((rad, _coeff_key(co)) for co, rad in c.terms))
-    raise TypeError(f"unexpected coefficient type {type(c).__name__}")
-
-
-def _coeff_from_key(k):
-    if isinstance(k, tuple) and k and k[0] == "frac":
-        return FracScalar(k[1], k[2])
-    if isinstance(k, tuple) and k and k[0] == "rad":
-        return RadScalar([(_coeff_from_key(fk), rad) for rad, fk in k[1]])
-    return k
 
 
 def _events(pres, atoms):
@@ -48,23 +28,6 @@ def _events(pres, atoms):
         elif pres.order[g1] > pres.order[g2]:
             out.append(("swap", i))
     return out
-
-
-def _collect(terms):
-    """Structurally merge like terms; returns a canonical hashable state
-    of (atoms, coeff_key) pairs."""
-    acc = {}
-    for c, atoms in terms:
-        atoms = tuple((g, e) for g, e in atoms if e)
-        cur = acc.get(atoms)
-        cur = c if cur is None else cur + c
-        if scalar_is_zero(cur):
-            acc.pop(atoms, None)
-        else:
-            acc[atoms] = cur
-    # atoms are unique dict keys, so they alone fix the order
-    return tuple(sorted(((atoms, _coeff_key(c)) for atoms, c in acc.items()),
-                        key=lambda t: t[0]))
 
 
 @dataclass
@@ -95,16 +58,15 @@ def _letters(pres):
     return letters
 
 
-def _scale_state(state, coeff):
-    return _collect([(coeff * _coeff_from_key(k), w) for w, k in state])
-
-
-def _add_states(states):
-    return _collect([(_coeff_from_key(k), w) for s in states for w, k in s])
+def _tick(budget):
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise GuardExceeded("confluence search exceeded the term guard")
 
 
 def _normal_forms(pres, atoms, memo, budget):
-    """All polynomials reachable from a single word by maximal rewriting.
+    """The distinct polynomials reachable from a single word by maximal
+    rewriting, in the order they were first reached.
 
     Rewriting is linear, so the forms reachable from a sum are sums of
     forms reachable from each term; memoizing per word avoids exploring
@@ -115,33 +77,20 @@ def _normal_forms(pres, atoms, memo, budget):
         return memo[atoms]
     events = _events(pres, atoms)
     if not events:
-        memo[atoms] = {((atoms, _coeff_key(1)),)}
+        memo[atoms] = [NCPoly._from_normal(pres, {atoms: 1})]
         return memo[atoms]
-    forms = set()
+    forms = []
     for ev in events:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise GuardExceeded("confluence search exceeded the term guard")
-        choice_sets = []
-        for c, w in _apply_event(pres, 1, atoms, ev):
-            choice_sets.append([_scale_state(f, c)
-                                for f in _normal_forms(pres, w, memo, budget)])
+        _tick(budget)
+        choice_sets = [[f * c for f in _normal_forms(pres, w, memo, budget)]
+                       for c, w in _apply_event(pres, 1, atoms, ev)]
         for combo in itertools.product(*choice_sets):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise GuardExceeded("confluence search exceeded the term guard")
-            forms.add(_add_states(combo))
+            _tick(budget)
+            total = sum(combo, NCPoly.zero(pres))
+            if not any(total == f for f in forms):
+                forms.append(total)
     memo[atoms] = forms
     return forms
-
-
-def _state_poly(pres, state) -> NCPoly:
-    """The polynomial of a state, whose words are normal."""
-    return NCPoly._from_normal(pres, {w: _coeff_from_key(k) for w, k in state})
-
-
-def _states_equal(pres, s1, s2) -> bool:
-    return (_state_poly(pres, s1) - _state_poly(pres, s2)).is_zero()
 
 
 def confluence_check(pres: Presentation, max_len: int = 3) -> ConfluenceReport:
@@ -152,16 +101,11 @@ def confluence_check(pres: Presentation, max_len: int = 3) -> ConfluenceReport:
     for length in range(2, max_len + 1):
         for word in itertools.product(letters, repeat=length):
             report.words_checked += 1
-            memo = {}
-            forms = list(_normal_forms(pres, tuple(word), memo, budget))
-            base = forms[0]
-            for other in forms[1:]:
-                if not _states_equal(pres, base, other):
-                    report.confluent = False
-                    report.counterexamples.append({
-                        "word": [[g, str(e)] for g, e in word],
-                        "forms": [str(_state_poly(pres, f))
-                                  for f in (base, other)],
-                    })
-                    break
+            forms = _normal_forms(pres, tuple(word), {}, budget)
+            if len(forms) > 1:
+                report.confluent = False
+                report.counterexamples.append({
+                    "word": [[g, str(e)] for g, e in word],
+                    "forms": [str(f) for f in forms[:2]],
+                })
     return report

@@ -21,10 +21,7 @@ class Identity:
         return self.lhs - self.rhs
 
     def holds_exactly(self) -> bool:
-        res = self.residual()
-        if isinstance(res, (Matrix, NCPoly)):
-            return res.is_zero()
-        return scalar_is_zero(res)
+        return scalar_is_zero(self.residual())
 
     def numeric_close(self, params: NumericParams, tol: float = 1e-10) -> bool:
         return _numeric_close(self.lhs, self.rhs, params, tol)
@@ -83,12 +80,6 @@ def run_identities(check: str, params: dict, identities,
 def _describe(res) -> str:
     if isinstance(res, Matrix):
         cells = [f"({i},{j})={res[i, j]}" for i in range(res.nrows)
-                 for j in range(res.ncols) if not _cell_zero(res[i, j])]
+                 for j in range(res.ncols) if not scalar_is_zero(res[i, j])]
         return "; ".join(cells[:8]) + ("..." if len(cells) > 8 else "")
     return str(res)
-
-
-def _cell_zero(x) -> bool:
-    if isinstance(x, NCPoly):
-        return x.is_zero()
-    return scalar_is_zero(x)

@@ -16,6 +16,8 @@ from .rewrite import UsageError
 from .scalars import HalfLaurent, NumericParams, Q_pow, ScalarError
 
 HALF = Fraction(1, 2)
+SPECIALIZE_POINTS = 5       # generic points per identity in `specialize`
+SPECIALIZE_TOL = 1e-10      # relative tolerance of the numeric re-check
 
 
 def _fr(x) -> str:
@@ -210,7 +212,7 @@ def random_points(count: int = 5, seed: int = 31415) -> list[NumericParams]:
     return points
 
 
-def _specialize(check, params, idents, verdicts, points, tol) -> CheckResult:
+def _specialize(check, params, idents, verdicts, points) -> CheckResult:
     """Numeric re-check of identities that hold exactly; the exact failures
     are reported by the exact check."""
     failing = []
@@ -218,11 +220,11 @@ def _specialize(check, params, idents, verdicts, points, tol) -> CheckResult:
         if not holds:
             continue
         for pt in points:
-            if not ident.numeric_close(pt, tol):
+            if not ident.numeric_close(pt, SPECIALIZE_TOL):
                 failing.append({"identity": ident.label,
                                 "residual": f"numeric mismatch at {pt}"})
                 break
-    params = dict(params, points=len(points), tol=tol)
+    params = dict(params, points=len(points), tol=SPECIALIZE_TOL)
     return CheckResult(f"specialize.{check}", params, not failing, failing, [])
 
 
@@ -238,8 +240,7 @@ def run_suite(name: str, **opts) -> list[CheckResult]:
         return _run_confluence(opts)
     if name in ("all", "specialize"):
         suites = IDENTITY_SUITES
-        points = random_points(opts.get("points", 5))
-        tol = opts.get("tol", 1e-10)
+        points = random_points(SPECIALIZE_POINTS)
     elif name in _BUILDERS:
         suites, points = (name,), None
     else:
@@ -253,7 +254,7 @@ def run_suite(name: str, **opts) -> list[CheckResult]:
                 results.append(run_identities(check, params, idents, verdicts))
             if points is not None:
                 results.append(_specialize(check, params, idents, verdicts,
-                                           points, tol))
+                                           points))
     if name == "specialize":
         return results
     if name == "all":

@@ -106,7 +106,7 @@ def test_14_swapped_canonical_element_matches_r_matrix():
 def test_15_numeric_specialization_agrees():
     points = random_points(5)
     assert len(points) == 5
-    assert_suite("specialize", points=5, tol=1e-10)
+    assert_suite("specialize")
 
 
 def test_16_golden_files_byte_stable(tmp_path):

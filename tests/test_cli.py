@@ -152,7 +152,6 @@ class TestMatrixCommands:
                              ids=["one_third", "minus_half"])
     @pytest.mark.parametrize("command", ["tmatrix", "lmatrix", "rmatrix"])
     def test_bad_spin_exit_two(self, capsys, command, j):
-        # --j=-1/2, since argparse reads a lone -1/2 as an option
         args = {"tmatrix": [f"--j={j}", f"--z={j}"],
                 "lmatrix": ["--sign", "+", f"--j={j}"],
                 "rmatrix": [f"--j1={j}", f"--z1={j}", "--j2", "1/2",
@@ -161,6 +160,19 @@ class TestMatrixCommands:
         assert code == 2
         assert err == ("error: spin j must be a non-negative half-integer, "
                        f"got {Fraction(j)}\n")
+
+    @pytest.mark.parametrize("args", [
+        "tmatrix --j 1/2 --z -1/2",
+        "rmatrix --j1 1/2 --z1 -1/2 --j2 1/2 --z2 1/2",
+        "verify --suite comodule --j 1/2 --z -1/2"])
+    def test_negative_rational_after_space(self, capsys, args):
+        # the space form must read like the = form, not as an option -1/2
+        spaced = args.split()
+        code, out, err = run(capsys, *spaced)
+        assert code == 0 and err == ""
+        i = spaced.index("-1/2")
+        joined = spaced[:i - 1] + [f"{spaced[i - 1]}=-1/2"] + spaced[i + 1:]
+        assert run(capsys, *joined) == (0, out, "")
 
     @pytest.mark.parametrize("form", ["closed", "factorized"])
     def test_bad_charge_exit_two(self, capsys, form):
@@ -198,6 +210,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "confluence",
                            "--max-len", "3")
         assert code == 0
+
+    def test_confluence_guard_exit_three(self, capsys, monkeypatch):
+        # the explorer spends the same term guard as normal ordering
+        monkeypatch.setenv("QEXPMAP_GUARD", "100")
+        code, out, err = run(capsys, "verify", "--suite", "confluence")
+        assert code == 3
+        assert out == ""
+        assert "confluence search exceeded the term guard" in err
 
     @pytest.mark.parametrize("args", [
         "--suite rll --j 1/3", "--suite all --j 1",

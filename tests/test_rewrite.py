@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +16,7 @@ from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
                              Presentation, RewriteError, normal_order,
                              tensor_square)
-from qexpmap.scalars import NumericParams
+from qexpmap.scalars import FracScalar, NumericParams
 
 
 def rand_word(rng, pres, max_len):
@@ -181,6 +186,14 @@ class TestTensor:
         assert not (x - y).is_zero()  # q-commute, not commute
 
 
+def broken_apq() -> Presentation:
+    """A with c*b -> b*c instead of c*b -> q/p b*c: not confluent."""
+    good = apq_presentation()
+    rules = dict(good.rules)
+    rules[("c", "b")] = (FracScalar.one(), ())
+    return Presentation("apq-broken", good.generators, rules, good.scaling)
+
+
 class TestConfluence:
     def test_apq_length_three(self):
         report = confluence_check(apq_presentation(), max_len=3)
@@ -196,6 +209,30 @@ class TestConfluence:
         report = confluence_check(u_presentation(), max_len=2)
         data = report.to_json()
         assert data["confluent"] is True
+
+    def test_counterexamples_found(self):
+        report = confluence_check(broken_apq(), max_len=3)
+        assert not report.confluent
+        assert report.words_checked == 392
+        assert len(report.counterexamples) == 5
+        first = report.counterexamples[0]
+        assert first["word"] == [["d", "1"], ["b", "1"], ["a", "1"]]
+        assert len(first["forms"]) == 2
+
+    def test_counterexample_report_independent_of_hash_seed(self):
+        tests = Path(__file__).parent
+        code = ("import json; from test_rewrite import broken_apq, "
+                "confluence_check; print(json.dumps(confluence_check("
+                "broken_apq(), max_len=3).to_json()))")
+        outs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep
+                       .join([str(tests.parent / "src"), str(tests)]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            outs.append(proc.stdout)
+        assert json.loads(outs[0])["counterexamples"]
+        assert outs[0] == outs[1]
 
 
 class TestSerialization:
