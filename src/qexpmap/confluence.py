@@ -68,9 +68,9 @@ def _normal_forms(pres, atoms, memo, budget):
     """The distinct polynomials reachable from a single word by maximal
     rewriting, in the order they were first reached.
 
-    Rewriting is linear, so the forms reachable from a sum are sums of
-    forms reachable from each term; memoizing per word avoids exploring
-    interleavings of independent terms, which are all equivalent.
+    Rewriting is linear, so the forms of a sum are sums of the forms of
+    its terms.  A word's forms do not depend on the word around it, so one
+    memo, shared across the whole check, explores each word once.
     """
     atoms = tuple((g, e) for g, e in atoms if e)
     if atoms in memo:
@@ -98,10 +98,11 @@ def confluence_check(pres: Presentation, max_len: int = 3) -> ConfluenceReport:
     letters = _letters(pres)
     report = ConfluenceReport(pres.name, max_len)
     budget = [term_guard()]
+    memo = {}
     for length in range(2, max_len + 1):
         for word in itertools.product(letters, repeat=length):
             report.words_checked += 1
-            forms = _normal_forms(pres, tuple(word), {}, budget)
+            forms = _normal_forms(pres, tuple(word), memo, budget)
             if len(forms) > 1:
                 report.confluent = False
                 report.counterexamples.append({

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .matrices import Matrix
 from .rewrite import NCPoly
-from .scalars import NumericParams, eval_numeric, scalar_is_zero
+from .scalars import eval_numeric, scalar_is_zero
 
 
 @dataclass
@@ -23,29 +23,33 @@ class Identity:
     def holds_exactly(self) -> bool:
         return scalar_is_zero(self.residual())
 
-    def numeric_close(self, params: NumericParams, tol: float = 1e-10) -> bool:
-        return _numeric_close(self.lhs, self.rhs, params, tol)
+    def numeric_close(self, points, tol: float):
+        """The first of `points` at which lhs and rhs differ in a word's
+        coefficient by more than tol times the largest coefficient of the
+        entry (or 1), else None."""
+        lhs, rhs = self.lhs, self.rhs
+        entries = ([_aligned(lhs[i, j], rhs[i, j]) for i in range(lhs.nrows)
+                    for j in range(lhs.ncols)]
+                   if isinstance(lhs, Matrix) else [_aligned(lhs, rhs)])
+        for pt in points:
+            for coeffs, pairs in entries:
+                vals = [eval_numeric(c, pt) for c in coeffs] + [0.0]
+                bound = tol * max([1.0] + [abs(v) for v in vals])
+                if any(abs(vals[i] - vals[k]) > bound for i, k in pairs):
+                    return pt
+        return None
 
 
-def _coeff_maps(x, params):
-    """Numeric view of a value: {key: float}."""
-    if isinstance(x, NCPoly):
-        return x.eval_coeffs(params)
-    return {(): eval_numeric(x, params)}
-
-
-def _numeric_close(lhs, rhs, params, tol):
-    if isinstance(lhs, Matrix):
-        return all(
-            _numeric_close(lhs[i, j], rhs[i, j], params, tol)
-            for i in range(lhs.nrows) for j in range(lhs.ncols))
-    ml, mr = _coeff_maps(lhs, params), _coeff_maps(rhs, params)
-    scale = max([1.0] + [abs(v) for v in ml.values()]
-                + [abs(v) for v in mr.values()])
-    for key in set(ml) | set(mr):
-        if abs(ml.get(key, 0.0) - mr.get(key, 0.0)) > tol * scale:
-            return False
-    return True
+def _aligned(lhs, rhs):
+    """An entry's coefficients, lhs then rhs in their own word order (so the
+    first one that cannot be evaluated raises), and per word the indices of
+    its lhs and rhs coefficient; -1 is the 0.0 of a side without the word."""
+    lt = lhs.terms if isinstance(lhs, NCPoly) else {(): lhs}
+    rt = rhs.terms if isinstance(rhs, NCPoly) else {(): rhs}
+    left = {w: i for i, w in enumerate(lt)}
+    pairs = [(left.pop(w, -1), len(lt) + k) for k, w in enumerate(rt)]
+    pairs += [(i, -1) for i in left.values()]
+    return [*lt.values(), *rt.values()], pairs
 
 
 @dataclass

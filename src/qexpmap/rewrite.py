@@ -15,8 +15,7 @@ import os
 from fractions import Fraction
 
 from .scalars import (FracScalar, HalfLaurent, lift_scalar, scalar_is_zero,
-                      scalar_to_json, scalar_from_json, NumericParams,
-                      eval_numeric)
+                      scalar_to_json, scalar_from_json)
 
 ORDINARY = "ordinary"
 INVERTIBLE = "invertible"
@@ -395,10 +394,6 @@ class NCPoly:
         mapped = ((w, fn(c)) for w, c in self.terms.items())
         return NCPoly._from_normal(
             self.pres, {w: c for w, c in mapped if not scalar_is_zero(c)})
-
-    def eval_coeffs(self, params: NumericParams):
-        """Numeric coefficient map {word: float} at a parameter point."""
-        return {w: eval_numeric(c, params) for w, c in self.terms.items()}
 
     # -- serialization / display
 

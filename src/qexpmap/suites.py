@@ -219,11 +219,10 @@ def _specialize(check, params, idents, verdicts, points) -> CheckResult:
     for ident, holds in zip(idents, verdicts):
         if not holds:
             continue
-        for pt in points:
-            if not ident.numeric_close(pt, SPECIALIZE_TOL):
-                failing.append({"identity": ident.label,
-                                "residual": f"numeric mismatch at {pt}"})
-                break
+        pt = ident.numeric_close(points, SPECIALIZE_TOL)
+        if pt is not None:
+            failing.append({"identity": ident.label,
+                            "residual": f"numeric mismatch at {pt}"})
     params = dict(params, points=len(points), tol=SPECIALIZE_TOL)
     return CheckResult(f"specialize.{check}", params, not failing, failing, [])
 

@@ -280,11 +280,12 @@ class TestVerify:
 
     # tests/refs/ holds reports recorded with earlier code; `specialize`
     # lists its checks in builder order, not sorted, which is easy to break
-    @pytest.mark.parametrize("suite", ["all", "specialize"])
+    @pytest.mark.parametrize("suite", ["all", "specialize", "confluence_len4"])
     def test_report_bytes_match_reference(self, capsys, tmp_path, suite):
+        args = {"confluence_len4": ["confluence", "--max-len", "4"]}
         path = tmp_path / "report.json"
-        code, _, _ = run(capsys, "verify", "--suite", suite,
-                         "--out", str(path))
+        code, _, _ = run(capsys, "verify", "--suite",
+                         *args.get(suite, [suite]), "--out", str(path))
         assert code == 0
         ref = Path(__file__).parent / "refs" / f"verify_{suite}.json"
         assert path.read_bytes() == ref.read_bytes()

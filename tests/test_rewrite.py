@@ -3,12 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qexpmap import parser, rewrite
+from qexpmap import confluence, parser, rewrite
 from qexpmap.algebra_a import a_parse, agen, apq_presentation
 from qexpmap.algebra_u import u_presentation, ugen
 from qexpmap.confluence import confluence_check
@@ -16,7 +17,7 @@ from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
                              Presentation, RewriteError, normal_order,
                              tensor_square)
-from qexpmap.scalars import FracScalar, NumericParams
+from qexpmap.scalars import FracScalar
 
 
 def rand_word(rng, pres, max_len):
@@ -124,13 +125,6 @@ class TestNormalOrder:
             assert names == sorted(names, key=order.__getitem__)
             assert len(names) == len(set(names))
 
-    def test_eval_coeffs(self):
-        params = NumericParams(1.4, 0.6)
-        x = a_parse("q*a*b")
-        ((word, value),) = x.eval_coeffs(params).items()
-        assert [g for g, _ in word] == ["a", "b"]
-        assert abs(value - params.q) < 1e-12
-
     def test_guard_env(self, monkeypatch):
         monkeypatch.setenv("QEXPMAP_GUARD", "2")
         with pytest.raises(GuardExceeded):
@@ -209,6 +203,21 @@ class TestConfluence:
         report = confluence_check(u_presentation(), max_len=2)
         data = report.to_json()
         assert data["confluent"] is True
+
+    def test_each_word_explored_once(self, monkeypatch):
+        # a word's forms do not depend on the word around it, so one memo
+        # serves the whole check
+        explored = Counter()
+        events = confluence._events
+
+        def counting(pres, atoms):
+            explored[atoms] += 1
+            return events(pres, atoms)
+
+        monkeypatch.setattr(confluence, "_events", counting)
+        assert confluence.confluence_check(apq_presentation(), 3).confluent
+        assert len(explored) > len(confluence._letters(apq_presentation()))
+        assert set(explored.values()) == {1}
 
     def test_counterexamples_found(self):
         report = confluence_check(broken_apq(), max_len=3)

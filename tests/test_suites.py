@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from qexpmap import suites
+from qexpmap import algebra_a, reporting, suites
+from qexpmap.algebra_a import a_parse
 from qexpmap.confluence import ConfluenceReport
+from qexpmap.matrices import Matrix
 from qexpmap.reporting import Identity
-from qexpmap.scalars import Q_pow
+from qexpmap.scalars import NumericParams, Q_pow, eval_numeric
 
 
 def test_all_builds_and_checks_each_identity_once(monkeypatch):
@@ -117,3 +119,61 @@ def test_confluence_residuals_are_the_counterexamples(monkeypatch):
         assert not r.passed
         assert r.residuals == [COUNTEREXAMPLE]
         assert r.to_json()["residuals"] == [COUNTEREXAMPLE]
+
+
+class TestNumericClose:
+    # Q^40 is about 8e15 at Q = 2.5, so 1 is below 1e-10 of the scale;
+    # at Q = 1.2 it is about 1470, and 1 is not
+    POINTS = [NumericParams(2.5, 2.5), NumericParams(1.2, 1.2)]
+
+    def test_one_word_coefficient(self):
+        # q*a*b is the word a*b with the coefficient q, 0.6 at this point
+        point = NumericParams(1.4, 0.6)
+        x = a_parse("q*a*b")
+        same = a_parse("a*b") * Fraction(3, 5)
+        bumped = a_parse("a*b") * (Fraction(3, 5) + Fraction(1, 10 ** 6))
+        assert Identity("x", x, same).numeric_close([point], 1e-10) is None
+        assert Identity("x", x, bumped).numeric_close([point], 1e-10) \
+            is point
+
+    def test_reports_first_mismatching_point(self):
+        ident = Identity("x", Q_pow(80), Q_pow(80) + 1)
+        assert ident.numeric_close(self.POINTS, 1e-10) is self.POINTS[1]
+        assert ident.numeric_close(self.POINTS[:1], 1e-10) is None
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_word_on_one_side_alone(self, side):
+        # the matrices differ only in the word c of entry (0, 1)
+        m = [[a_parse("a + q*b"), a_parse("b")], [a_parse("c"), a_parse("d")]]
+        other = [row[:] for row in m]
+        other[0][1] = a_parse("b + c")
+        lhs, rhs = Matrix(other), Matrix(m)
+        if side == "rhs":
+            lhs, rhs = rhs, lhs
+        points = suites.random_points(5)
+        assert Identity("x", lhs, rhs).numeric_close(points, 1e-10) \
+            is points[0]
+
+    def test_exact_identity_is_close_everywhere(self):
+        points = suites.random_points(5)
+        for ident in algebra_a.qdet_identities():
+            assert ident.holds_exactly()
+            assert ident.numeric_close(points, 1e-10) is None
+
+    def test_each_coefficient_evaluated_once_per_point(self, monkeypatch):
+        # the only mismatch is in the last entry, at the second point, so
+        # both points evaluate all ten coefficients and the third none
+        m = [[a_parse("a + q*b"), a_parse("b")],
+             [a_parse("c"), a_parse("d") * Q_pow(80)]]
+        other = [m[0], [m[1][0], a_parse("d") * (Q_pow(80) + 1)]]
+        points = self.POINTS + suites.random_points(1)
+        seen = Counter()
+
+        def counting(x, point):
+            seen[point] += 1
+            return eval_numeric(x, point)
+
+        monkeypatch.setattr(reporting, "eval_numeric", counting)
+        ident = Identity("x", Matrix(m), Matrix(other))
+        assert ident.numeric_close(points, 1e-10) is points[1]
+        assert seen == {points[0]: 10, points[1]: 10}
