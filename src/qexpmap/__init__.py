@@ -11,7 +11,7 @@ from .expmap import (l_matrix, qexp, r_matrix_rep, t_matrix_closed,
 from .matrices import Matrix, MatrixError
 from .reporting import CheckResult, Identity
 from .rewrite import (GuardExceeded, NCPoly, ParseError, Presentation,
-                      RewriteError, normal_order)
+                      RewriteError)
 from .scalars import (FracScalar, HalfLaurent, NumericParams, RadScalar,
                       ScalarError, eval_numeric, lam_pow, p_pow, q_pow, qfact,
                       qint, Q_pow)
@@ -30,7 +30,6 @@ __all__ = [
     "Matrix", "MatrixError",
     "CheckResult", "Identity",
     "GuardExceeded", "NCPoly", "ParseError", "Presentation", "RewriteError",
-    "normal_order",
     "FracScalar", "HalfLaurent", "NumericParams", "RadScalar", "ScalarError",
     "eval_numeric", "lam_pow", "p_pow", "q_pow", "qfact", "qint", "Q_pow",
     "SUITES", "run_suite",

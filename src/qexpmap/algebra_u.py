@@ -139,18 +139,25 @@ class Rep:
     """A finite-dimensional weight representation.
 
     Rows and columns are indexed by the weights m = j, j-1, ..., -j.
-    Jplus/Jminus are the ladder matrices, J0 the weight and z the central
-    charge.  ``norm`` records whether ladder entries are square roots of
-    q-integers ("symmetric") or plain q-integers ("rational").
+    Jplus/Jminus are the ladder matrices, built from ``ladder``: entry
+    (m, m-1) of Jplus is ladder(j+m), entry (m, m+1) of Jminus is
+    ladder(j-m), and every other entry is zero_entry().  J0 is the weight
+    and z the central charge.  ``norm`` records whether ladder entries
+    are square roots of q-integers ("symmetric") or plain q-integers
+    ("rational").
     """
 
-    def __init__(self, j, z, norm, Jplus, Jminus):
+    def __init__(self, j, z, norm, ladder):
         self.j = Fraction(j)
         self.z = Fraction(z)
         self.norm = norm
-        self.Jplus = Jplus
-        self.Jminus = Jminus
         self.mvals = [self.j - i for i in range(int(2 * self.j) + 1)]
+        zero = self.zero_entry()
+        # s = 1 builds J+ (row m, column m-1), s = -1 builds J- (m, m+1)
+        self.Jplus, self.Jminus = (Matrix.build(
+            self.dim, self.dim,
+            lambda r, c: ladder(int(self.j + s * self.mvals[r]))
+            if c == r + s else zero) for s in (1, -1))
         self.J0 = Matrix.build(
             self.dim, self.dim,
             lambda r, c: FracScalar(self.mvals[r]) if r == c
@@ -194,47 +201,17 @@ def spin_params(j, z, norm: str):
 def gamma_rep(j, z, norm: str = "symmetric") -> Rep:
     """The spin-j representation with central charge z.
 
-    symmetric: ladder entries sqrt([j+-m][j+1-+m]), self-adjoint-looking.
-    rational: (J+)_{m,m-1} = [j-m+1] = [j-k] and (J-)_{m,m+1} = [j+k],
-    related to the symmetric form by a diagonal change of basis: it is
-    D^-1 J_sym D with D = diag(sqrt([j+m]! [j-m]!)), the conjugation
-    opposite to the rational ladder of t_matrix_factorized.
+    symmetric: ladder(n) = sqrt([n][2j+1-n]), so (J+)_{m,m-1} =
+    sqrt([j+m][j-m+1]) and (J-)_{m,m+1} = sqrt([j-m][j+m+1]).
+    rational: ladder(n) = [2j+1-n], so (J+)_{m,m-1} = [j-m+1] and
+    (J-)_{m,m+1} = [j+m+1]; the diagonal conjugation relating the two is
+    stated in t_matrix_factorized.
     """
     j, z = spin_params(j, z, norm)
-    dim = int(2 * j) + 1
-    mvals = [j - i for i in range(dim)]
-
+    top = int(2 * j) + 1
     if norm == "symmetric":
-        zero = RadScalar.zero()
-
-        def plus(r, c):
-            m, k = mvals[r], mvals[c]
-            if m != k + 1:
-                return zero
-            return RadScalar.sqrt_qints([int(j + m), int(j + 1 - m)])
-
-        def minus(r, c):
-            m, k = mvals[r], mvals[c]
-            if m != k - 1:
-                return zero
-            return RadScalar.sqrt_qints([int(j - m), int(j + 1 + m)])
-    else:
-        zero = FracScalar.zero()
-
-        def plus(r, c):
-            m, k = mvals[r], mvals[c]
-            if m != k + 1:
-                return zero
-            return FracScalar(qint(int(j - k)))
-
-        def minus(r, c):
-            m, k = mvals[r], mvals[c]
-            if m != k - 1:
-                return zero
-            return FracScalar(qint(int(j + k)))
-
-    return Rep(j, z, norm,
-               Matrix.build(dim, dim, plus), Matrix.build(dim, dim, minus))
+        return Rep(j, z, norm, lambda n: RadScalar.sqrt_qints([n, top - n]))
+    return Rep(j, z, norm, lambda n: FracScalar(qint(top - n)))
 
 
 def hatted(rep: Rep):
@@ -321,17 +298,19 @@ def pi_homomorphism_identities(sign: str) -> list[Identity]:
     return idents
 
 
+def fact_radicand(j, m) -> list[int]:
+    """The indices of the q-integers whose product is [j+m]! [j-m]!;
+    [1] = 1 is omitted."""
+    return list(range(2, int(j + m) + 1)) + list(range(2, int(j - m) + 1))
+
+
 def normalization_similarity_identities(j) -> list[Identity]:
     """The two ladder normalizations are conjugate by the diagonal matrix
     with entries sqrt([j+m]! [j-m]!)."""
     j = Fraction(j)
     sym = gamma_rep(j, j, "symmetric")
     rat = gamma_rep(j, j, "rational")
-    svals = [RadScalar.sqrt_qints(
-        list(range(2, int(j + m) + 1)) + list(range(2, int(j - m) + 1)))
-        for m in sym.mvals]
-    S = Matrix.build(sym.dim, sym.dim,
-                     lambda r, c: svals[r] if r == c else RadScalar.zero())
+    S = sym.diag(lambda m: RadScalar.sqrt_qints(fact_radicand(j, m)))
     idents = []
     for name, msym, mrat in (("J+", sym.Jplus, rat.Jplus),
                              ("J-", sym.Jminus, rat.Jminus)):

@@ -24,18 +24,14 @@ from functools import lru_cache
 
 from .algebra_a import (a_parse, agen, apq_presentation, coproduct, counit,
                         exponential_coordinates)
-from .algebra_u import (Rep, gamma_rep, hatted, pi_apply, spin_params,
-                        u_coproduct, u_parse, u_presentation, u_rep_apply)
+from .algebra_u import (Rep, fact_radicand, gamma_rep, hatted, pi_apply,
+                        spin_params, u_coproduct, u_parse, u_presentation,
+                        u_rep_apply)
 from .matrices import Matrix
 from .reporting import Identity
 from .rewrite import NCPoly, RewriteError, tensor, tensor_square
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, lam_pow,
                       qfact, qint)
-
-
-def _fact_indices(n: int):
-    """Indices whose q-integers multiply to [n]!; [1] = 1 is omitted."""
-    return list(range(2, int(n) + 1))
 
 
 def qexp(tsign: int, x: Matrix, one) -> Matrix:
@@ -65,9 +61,7 @@ def qexp(tsign: int, x: Matrix, one) -> Matrix:
 
 def _closed_prefactor(j, m, k, norm):
     if norm == "symmetric":
-        idx = (_fact_indices(j + m) + _fact_indices(j - m)
-               + _fact_indices(j + k) + _fact_indices(j - k))
-        return RadScalar.sqrt_qints(idx)
+        return RadScalar.sqrt_qints(fact_radicand(j, m) + fact_radicand(j, k))
     return qfact(int(j + m)) * qfact(int(j - m))
 
 
@@ -127,13 +121,13 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     diag(a^(j+m) w^(j-m)); the general charge is restored by the group-like
     scaling factor D^(z-j) lambda^((z-j)(m-k)) on entry (m, k).
 
-    Both normalizations run this construction, each on its own ladder:
-    gamma_rep's for symmetric, and for rational the radical-free
-    D J_sym D^-1 with D = diag(sqrt([j+m]! [j-m]!)), that is
-    (J+)_{m,m-1} = [j+m] and (J-)_{m,m+1} = [j-m], the conjugation
-    opposite to gamma_rep's rational form.  The rational coefficients are
-    lifted to RadScalar at the end.  Only the charge-j construction is
-    kept; each charge rescales it.
+    Both normalizations run this construction, each on its own ladder.
+    With D = diag(sqrt([j+m]! [j-m]!)), gamma_rep's rational ladder is
+    D^-1 J_sym D.  Symmetric runs on gamma_rep's J_sym; rational runs on
+    the opposite conjugation D J_sym D^-1, the Rep ladder n -> [n], that
+    is (J+)_{m,m-1} = [j+m] and (J-)_{m,m+1} = [j-m], whose coefficients
+    are free of radicals and are lifted to RadScalar at the end.  Only
+    the charge-j construction is kept; each charge rescales it.
     """
     j, z = spin_params(j, z, norm)
     pres = apq_presentation()
@@ -155,15 +149,8 @@ def _factorized_core(j, norm):
     """The factorized spin-j matrix at charge j, before the rational
     coefficients are lifted, and its weights j, j-1, ..., -j."""
     pres = apq_presentation()
-    rep = gamma_rep(j, j, norm)
-    mvals = rep.mvals
-    if norm == "rational":
-        def ladder(s):      # s = 1: J+, s = -1: J-
-            return Matrix.build(
-                rep.dim, rep.dim,
-                lambda r, c: FracScalar(qint(int(j + s * mvals[r])))
-                if c == r + s else FracScalar.zero())
-        rep = Rep(j, j, norm, ladder(1), ladder(-1))
+    rep = gamma_rep(j, j, norm) if norm == "symmetric" \
+        else Rep(j, j, norm, lambda n: FracScalar(qint(n)))
     jp_hat, jm_hat = hatted(rep)
     coords = exponential_coordinates()
     beta, gamma, w = coords["beta"], coords["gamma"], coords["w"]
@@ -190,7 +177,7 @@ def _factorized_core(j, norm):
     if any(g == "D" or (g == "a" and e < 0) for row in t.rows for x in row
            for word in x.terms for g, e in word):
         raise RewriteError("factorized matrix entry kept a localized factor")
-    return t, tuple(mvals)
+    return t, tuple(rep.mvals)
 
 
 def t_counit_identities(j, z) -> list[Identity]:
@@ -233,11 +220,12 @@ def r_matrix_rep(j1, z1, j2, z2, norm: str = "rational") -> Matrix:
     """The universal intertwiner restricted to a pair of spin reps.
 
     R = diag(Q^(-2 m1 m2) lambda^(2(z1 m2 - m1 z2)))
-        * sum_n (1-Q^2)^n / [n]! * Q^(-n(n-1)/2) * (A (x) B)^n
+        * E_{Q^2}((1-Q^2) A (x) B)
 
-    with A = Q^(-m) lambda^(z1) J+ on the first leg (row weight m) and
-    B = Q^(m) lambda^(z2) J- on the second.  The series terminates at
-    n = 2 min(j1, j2).
+    with A = Q^(-m) lambda^(z1) J+ on the first leg (row weight m),
+    B = Q^(m) lambda^(z2) J- on the second and E_{Q^2} the q-exponential
+    qexp, sum_n Q^(-n(n-1)/2) (1-Q^2)^n (A (x) B)^n / [n]!.  The series
+    terminates at n = 2 min(j1, j2).
     """
     return _r_matrix(*spin_params(j1, z1, norm), *spin_params(j2, z2, norm),
                      norm)
@@ -245,6 +233,8 @@ def r_matrix_rep(j1, z1, j2, z2, norm: str = "rational") -> Matrix:
 
 @lru_cache(maxsize=None)
 def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
+    """r_matrix_rep for validated arguments; qexp sums the series up to
+    its first zero power."""
     rep1 = gamma_rep(j1, z1, norm)
     rep2 = gamma_rep(j2, z2, norm)
     amat = rep1.Jplus.scale_rows_cols(
@@ -255,18 +245,7 @@ def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
         [HalfLaurent.monomial(1, int(2 * m), int(2 * rep2.z))
          for m in rep2.mvals],
         [HalfLaurent.one()] * rep2.dim)
-    ab = amat.kron(bmat)
-    dim = rep1.dim * rep2.dim
-    one, zero = rep1.one_entry(), rep1.zero_entry()
-    total = Matrix.identity(dim, one, zero)
-    power = total
-    n_max = int(2 * min(rep1.j, rep2.j))
-    for n in range(1, n_max + 1):
-        power = power * ab
-        coeff = FracScalar(
-            (HalfLaurent.one() - Q_pow(4)) ** n * Q_pow(-n * (n - 1)),
-            qfact(n))
-        total = total + power * coeff
+    total = qexp(1, amat.kron(bmat) * (1 - Q_pow(4)), rep1.one_entry())
     pref = []
     for m1 in rep1.mvals:
         for m2 in rep2.mvals:
@@ -275,7 +254,8 @@ def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
             if Fraction(u).denominator != 1 or Fraction(v).denominator != 1:
                 raise ValueError("weight product not a half-integer power")
             pref.append(HalfLaurent.monomial(1, int(u), int(v)))
-    return Matrix.build(dim, dim, lambda r, c: pref[r] * total[r, c])
+    return Matrix.build(total.nrows, total.ncols,
+                        lambda r, c: pref[r] * total[r, c])
 
 
 def quasitriangular_identities(j1, z1, j2, z2) -> list[Identity]:

@@ -438,12 +438,6 @@ class NCPoly:
         return f"NCPoly<{self.pres.name}>({self})"
 
 
-def normal_order(x: NCPoly) -> NCPoly:
-    """Normal-order a polynomial's terms again (an NCPoly is always normal,
-    so this re-runs the engine on a normal form)."""
-    return NCPoly(x.pres, [(c, w) for w, c in x.terms.items()])
-
-
 # ---------------------------------------------------------------------------
 # tensor powers
 

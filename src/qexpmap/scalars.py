@@ -528,10 +528,6 @@ class RadScalar(_Scalar):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return (len(self.terms) == 1 and self.terms[0][1] == ()
-                and self.terms[0][0].is_one())
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:

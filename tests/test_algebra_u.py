@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qexpmap.algebra_u import (gamma_rep, hatted,
+from qexpmap.algebra_u import (Rep, fact_radicand, gamma_rep, hatted,
                                normalization_similarity_identities, pi_apply,
                                pi_homomorphism_identities,
                                rep_relation_identities, u_coproduct, u_parse,
@@ -18,6 +18,13 @@ HALF = Fraction(1, 2)
 def assert_all(identities):
     failing = [i.label for i in identities if not i.holds_exactly()]
     assert not failing, f"failing identities: {failing}"
+
+
+def ladder_formula(j, m, norm, s):
+    """(J+)_{m,m-1} (s = 1) or (J-)_{m,m+1} (s = -1) in closed form."""
+    if norm == "symmetric":
+        return RadScalar.sqrt_qints([int(j + s * m), int(j - s * m + 1)])
+    return FracScalar(qint(int(j - s * m + 1)))
 
 
 def spins(max_j):
@@ -54,6 +61,41 @@ class TestRepresentations:
     def test_normalization_similarity(self):
         for j in spins(Fraction(3, 2)):
             assert_all(normalization_similarity_identities(j))
+
+    @pytest.mark.parametrize("norm", ["rational", "symmetric"])
+    @pytest.mark.parametrize("twoj", range(6))
+    def test_ladder_entries(self, twoj, norm):
+        j = Fraction(twoj, 2)
+        rep = gamma_rep(j, j, norm)
+        kind = RadScalar if norm == "symmetric" else FracScalar
+        for s, ladder in ((1, rep.Jplus), (-1, rep.Jminus)):
+            assert (ladder.nrows, ladder.ncols) == (twoj + 1, twoj + 1)
+            for r in range(twoj + 1):
+                for c in range(twoj + 1):
+                    x = ladder[r, c]
+                    assert type(x) is kind
+                    if c == r + s:
+                        assert x == ladder_formula(j, j - r, norm, s), (r, c)
+                    else:
+                        assert x.is_zero(), (r, c)
+
+    def test_fact_radicand(self):
+        # [j+m]! [j-m]! at j = 2, m = 1 is [3]! [1]! = [2] [3]
+        assert fact_radicand(2, 1) == [2, 3]
+        assert fact_radicand(Fraction(5, 2), HALF) == [2, 3, 2]
+        assert fact_radicand(HALF, HALF) == []
+
+    @pytest.mark.parametrize("twoj", range(4))
+    def test_factorized_ladder_is_conjugate(self, twoj):
+        # the ladder n -> [n] that t_matrix_factorized runs on in the
+        # rational normalization is S J_sym S^-1 with
+        # S = diag(sqrt([j+m]! [j-m]!))
+        j = Fraction(twoj, 2)
+        sym = gamma_rep(j, j, "symmetric")
+        fact = Rep(j, j, "rational", lambda n: FracScalar(qint(n)))
+        S = sym.diag(lambda m: RadScalar.sqrt_qints(fact_radicand(j, m)))
+        assert fact.Jplus * S == S * sym.Jplus
+        assert fact.Jminus * S == S * sym.Jminus
 
     def test_symmetric_entries_are_radicals(self):
         rep = gamma_rep(1, 1, "symmetric")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -289,6 +292,36 @@ class TestVerify:
         assert code == 0
         ref = Path(__file__).parent / "refs" / f"verify_{suite}.json"
         assert path.read_bytes() == ref.read_bytes()
+
+
+def other_interpreters():
+    """Python interpreters >= 3.10 installed beside this one (as pyenv
+    lays them out, <prefix>/../<version>/bin/python), other than it."""
+    found = []
+    for exe in Path(sys.base_prefix).parent.glob("*/bin/python"):
+        try:
+            version = tuple(int(p) for p in exe.parent.parent.name.split("."))
+        except ValueError:
+            continue
+        if version >= (3, 10) and version != sys.version_info[:len(version)]:
+            found.append((version, exe))
+    return [exe for _, exe in sorted(found)]
+
+
+# the report must not depend on the Python version; with no other
+# interpreter installed the test is skipped
+@pytest.mark.parametrize("python", other_interpreters(),
+                         ids=lambda exe: exe.parent.parent.name)
+def test_verify_all_bytes_across_interpreters(python):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [str(python), "-m", "qexpmap.cli", "verify", "--suite", "all"],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    ref = Path(__file__).parent / "refs" / "verify_all.json"
+    assert proc.stdout == ref.read_bytes()
 
 
 class TestInternalError:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +143,22 @@ class TestRMatrices:
     def test_quasitriangular(self):
         assert_all(quasitriangular_identities(HALF, HALF, HALF, HALF))
         assert_all(quasitriangular_identities(HALF, HALF, 1, 1))
+
+    @pytest.mark.parametrize("norm", ["rational", "symmetric"])
+    @pytest.mark.parametrize("charge", ["z0", "zj"])
+    @pytest.mark.parametrize("spins", [(1, 1), (Fraction(3, 2), 1),
+                                       (Fraction(3, 2), Fraction(3, 2)),
+                                       (2, 2)],
+                             ids=["2j2x2j2", "2j3x2j2", "2j3x2j3", "2j4x2j4"])
+    def test_bytes_above_spin_half(self, spins, charge, norm):
+        # tests/refs/r_matrix_spin.json holds render_matrix(R, "json") as
+        # recorded with earlier code, keyed "j1 z1 j2 z2 norm"
+        j1, j2 = map(Fraction, spins)
+        z1, z2 = (j1, j2) if charge == "zj" else (Fraction(0), Fraction(0))
+        ref = json.loads((REFS / "r_matrix_spin.json").read_text())
+        want = json.dumps(ref[f"{j1} {z1} {j2} {z2} {norm}"], sort_keys=True)
+        assert render_matrix(r_matrix_rep(j1, z1, j2, z2, norm),
+                             "json") == want
 
 
 def embed_pair(rmat, dims, p, q):
