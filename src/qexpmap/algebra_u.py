@@ -19,7 +19,7 @@ from .reporting import Identity
 from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, UsageError,
                       hom_apply, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, ScalarError,
-                      lift_scalar, qint, scalar_lambda_one)
+                      qint, scalar_lambda_one)
 
 
 @lru_cache(maxsize=None)
@@ -160,8 +160,7 @@ class Rep:
             if c == r + s else zero) for s in (1, -1))
         self.J0 = Matrix.build(
             self.dim, self.dim,
-            lambda r, c: FracScalar(self.mvals[r]) if r == c
-            else FracScalar.zero())
+            lambda r, c: FracScalar(self.mvals[r]) if r == c else 0)
 
     @property
     def dim(self) -> int:
@@ -176,7 +175,7 @@ class Rep:
             else FracScalar.one()
 
     def identity(self) -> Matrix:
-        return Matrix.identity(self.dim, self.one_entry(), self.zero_entry())
+        return Matrix.identity(self.dim, self.one_entry())
 
     def diag(self, fn) -> Matrix:
         """Diagonal matrix with entry fn(m) at weight m."""
@@ -215,20 +214,16 @@ def gamma_rep(j, z, norm: str = "symmetric") -> Rep:
 
 
 def hatted(rep: Rep):
-    """Twisted ladder matrices absorbing the weight and charge factors.
-
-    Jplus_hat picks up Q^-(m'+1/2) lambda^(z-1/2) at source weight m'
-    (column index); Jminus_hat picks up Q^(m+1/2) lambda^(z-1/2) at target
-    weight m (row index).
+    """Twisted ladder matrices absorbing the weight and charge factors:
+    Jplus_hat = Jplus * diag(Q^-(m+1/2) lambda^(z-1/2)), whose entry
+    (m, m') picks up the factor at its source weight m', and Jminus_hat =
+    diag(Q^(m+1/2) lambda^(z-1/2)) * Jminus, at its target weight m.
     """
-    z2 = 2 * rep.z  # lambda^(z-1/2) has half-count 2z-1, an integer
-    col = [HalfLaurent.monomial(1, -int(2 * m + 1), int(z2 - 1))
-           for m in rep.mvals]
-    row = [HalfLaurent.monomial(1, int(2 * m + 1), int(z2 - 1))
-           for m in rep.mvals]
-    one = HalfLaurent.one()
-    jp = rep.Jplus.scale_rows_cols([one] * rep.dim, col)
-    jm = rep.Jminus.scale_rows_cols(row, [one] * rep.dim)
+    lhalf = int(2 * rep.z - 1)  # lambda^(z-1/2) has half-count 2z-1
+    jp = rep.Jplus * rep.diag(
+        lambda m: HalfLaurent.monomial(1, -int(2 * m + 1), lhalf))
+    jm = rep.diag(
+        lambda m: HalfLaurent.monomial(1, int(2 * m + 1), lhalf)) * rep.Jminus
     return jp, jm
 
 
@@ -277,9 +272,8 @@ def rep_relation_identities(rep: Rep) -> list[Identity]:
         Identity(f"rep(j={rep.j}).kfk^-1=q^-1.f", lhs_f, rhs_f),
         Identity(f"rep(j={rep.j}).[e,f]", comm, rhs_c),
         Identity(f"rep(j={rep.j}).casimir-ladders",
-                 E * F, rep.diag(lambda m: lift_scalar(
-                     FracScalar(qint(int(rep.j + m)) * qint(int(rep.j - m + 1))),
-                     type(rep.one_entry())))),
+                 E * F, rep.diag(lambda m: FracScalar(
+                     qint(int(rep.j + m)) * qint(int(rep.j - m + 1))))),
     ]
 
 

@@ -42,7 +42,7 @@ def qexp(tsign: int, x: Matrix, one) -> Matrix:
     """
     if tsign not in (1, -1):
         raise ValueError("tsign must be +1 or -1")
-    result = Matrix.identity(x.nrows, one, one - one)
+    result = Matrix.identity(x.nrows, one)
     power = result
     for n in range(1, x.nrows + 1):
         power = power * x
@@ -163,10 +163,7 @@ def _factorized_core(j, norm):
     for _ in range(rep.dim - 1):
         apow.append(apow[-1] * a)
         wpow.append(wpow[-1] * w)
-    mid = Matrix.build(
-        rep.dim, rep.dim,
-        lambda r, c: apow[rep.dim - 1 - r] * wpow[r]
-        if r == c else NCPoly.zero(pres))
+    mid = rep.diag(lambda m: apow[int(rep.j + m)] * wpow[int(rep.j - m)])
     right = qexp(1, jp_hat.map(lambda s: beta * s), one)
     # pushing d (in w) past a^-1 (in beta) adds correction terms: mid * right
     # does it once per entry, and gamma^n = c^n a^-n then needs only swaps
@@ -185,7 +182,7 @@ def t_counit_identities(j, z) -> list[Identity]:
     t = t_matrix_closed(j, z, "rational")
     pres = apq_presentation()
     lhs = t.map(lambda x: NCPoly.scalar(pres, counit(x)))
-    rhs = Matrix.identity(t.nrows, NCPoly.one(pres), NCPoly.zero(pres))
+    rhs = Matrix.identity(t.nrows, NCPoly.one(pres))
     return [Identity(f"counit(T^({j};{z}))=id", lhs, rhs)]
 
 
@@ -225,7 +222,10 @@ def r_matrix_rep(j1, z1, j2, z2, norm: str = "rational") -> Matrix:
     with A = Q^(-m) lambda^(z1) J+ on the first leg (row weight m),
     B = Q^(m) lambda^(z2) J- on the second and E_{Q^2} the q-exponential
     qexp, sum_n Q^(-n(n-1)/2) (1-Q^2)^n (A (x) B)^n / [n]!.  The series
-    terminates at n = 2 min(j1, j2).
+    terminates at n = 2 min(j1, j2).  In terms of the twisted ladders of
+    hatted, A = Q^(-1/2) lambda^(1/2) Jplus_hat and B = Q^(-1/2)
+    lambda^(1/2) Jminus_hat, so (1-Q^2) A (x) B is
+    Q^(-1) lambda (1-Q^2) Jplus_hat (x) Jminus_hat.
     """
     return _r_matrix(*spin_params(j1, z1, norm), *spin_params(j2, z2, norm),
                      norm)
@@ -237,15 +237,9 @@ def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
     its first zero power."""
     rep1 = gamma_rep(j1, z1, norm)
     rep2 = gamma_rep(j2, z2, norm)
-    amat = rep1.Jplus.scale_rows_cols(
-        [HalfLaurent.monomial(1, -int(2 * m), int(2 * rep1.z))
-         for m in rep1.mvals],
-        [HalfLaurent.one()] * rep1.dim)
-    bmat = rep2.Jminus.scale_rows_cols(
-        [HalfLaurent.monomial(1, int(2 * m), int(2 * rep2.z))
-         for m in rep2.mvals],
-        [HalfLaurent.one()] * rep2.dim)
-    total = qexp(1, amat.kron(bmat) * (1 - Q_pow(4)), rep1.one_entry())
+    jp, jm = hatted(rep1)[0], hatted(rep2)[1]
+    total = qexp(1, jp.kron(jm) * (HalfLaurent.monomial(1, -2, 2)
+                                   * (1 - Q_pow(4))), rep1.one_entry())
     pref = []
     for m1 in rep1.mvals:
         for m2 in rep2.mvals:
@@ -325,10 +319,7 @@ def _l_matrix(sign, j, norm) -> Matrix:
     jp, jm = _jhat_plus_u(), _jhat_minus_u()
     left = qexp(-1, m_gamma.map(lambda s: s * jm), one)
     ksign = -2 if sign == "+" else 2
-    mid = Matrix.build(
-        rep.dim, rep.dim,
-        lambda r, c: NCPoly.gen(pres, "k", ksign * rep.mvals[r])
-        if r == c else NCPoly.zero(pres))
+    mid = rep.diag(lambda m: NCPoly.gen(pres, "k", ksign * m))
     right = qexp(1, m_beta.map(lambda s: s * jp), one)
     return left * mid * right
 
@@ -342,7 +333,7 @@ def rll_identities(j) -> list[Identity]:
     # matching the lambda = 1 algebra the L entries live in
     rmat = r_matrix_rep(j, 0, j, 0, "rational")
     dim = lp.nrows
-    ident = Matrix.identity(dim, NCPoly.one(pres), NCPoly.zero(pres))
+    ident = Matrix.identity(dim, NCPoly.one(pres))
 
     # L (x) 1 and 1 (x) L for each sign, each built once
     legs = {sign: (l.kron(ident), ident.kron(l))

@@ -5,16 +5,19 @@ field division and is provided for FracScalar entries via Gauss-Jordan
 elimination with exact arithmetic (pivot = first entry in column order
 that is nonzero under cross-multiplication equality).
 
+Every entry of a matrix has one type: the constructor lifts each entry to
+the highest-ranked type among them (int, Fraction, HalfLaurent,
+FracScalar, RadScalar, NCPoly in promotion order), and a scalar beside an
+NCPoly becomes a constant of that polynomial's algebra.
+
 The matrix product skips every entry product with a zero operand (the
 sparse product of Gustavson, ACM TOMS 4(3), 1978), since the spin-j
 matrices are triangular or banded.  Its result is nevertheless entry for
 entry the one of the dense sum over k: FracScalar has no canonical form,
 so its bytes depend on the order in which values were combined.  The
-nonzero products are therefore added in ascending k, and a zero product
-is still added wherever it would lift the sum's type (int, Fraction,
-HalfLaurent, FracScalar, RadScalar, NCPoly in promotion order).  Adding
-a zero of a type no higher than the sum's leaves its value and bytes
-unchanged.
+nonzero products are therefore added in ascending k.  Every product in a
+sum has the same type, and adding a zero of the sum's type leaves its
+value and bytes unchanged.
 """
 
 from __future__ import annotations
@@ -32,31 +35,32 @@ class MatrixError(ArithmeticError):
 _TYPE_RANK = {**RANK, NCPoly: len(RANK)}
 
 
+def _one_type(rows):
+    """rows with every entry lifted to the highest-ranked type among them."""
+    types = {type(x) for row in rows for x in row}
+    if len(types) <= 1:
+        return rows
+    top = max(types, key=_TYPE_RANK.__getitem__)
+    if top is not NCPoly:
+        return tuple(tuple(lift_scalar(x, top) for x in row) for row in rows)
+    pres = next(x.pres for row in rows for x in row if type(x) is NCPoly)
+    return tuple(tuple(x if type(x) is NCPoly else NCPoly.scalar(pres, x)
+                       for x in row) for row in rows)
+
+
 def _tagged(entries):
-    """(entry, is nonzero, type rank) for each entry of a row or column."""
-    return [(x, not scalar_is_zero(x), _TYPE_RANK[type(x)]) for x in entries]
+    """(entry, is nonzero) for each entry of a row or column."""
+    return [(x, not scalar_is_zero(x)) for x in entries]
 
 
 def _dot(row, col):
     """The sum of row[k] * col[k] over k, entry for entry as the dense loop
-    forms it; row and col hold _tagged triples."""
-    acc, rank, zero = None, -1, None     # rank: type rank of the dense sum
-    for (x, xnz, xr), (y, ynz, yr) in zip(row, col):
-        r = xr if xr > yr else yr
+    forms it; row and col hold _tagged pairs."""
+    acc = None
+    for (x, xnz), (y, ynz) in zip(row, col):
         if xnz and ynz:
-            if acc is None and rank > r:
-                # the dense sum so far is a zero of a higher type than x*y
-                acc = zero[0] * zero[1]
             acc = x * y if acc is None else acc + x * y
-        elif r > rank:
-            # a zero product that lifts the type of the dense sum
-            if acc is None:
-                zero = (x, y)
-            else:
-                acc = acc + x * y
-        if r > rank:
-            rank = r
-    return zero[0] * zero[1] if acc is None else acc
+    return row[0][0] * col[0][0] if acc is None else acc
 
 
 class Matrix:
@@ -66,7 +70,7 @@ class Matrix:
         rows = tuple(tuple(r) for r in rows)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise MatrixError("matrix rows must be nonempty and rectangular")
-        self.rows = rows
+        self.rows = _one_type(rows)
 
     @property
     def nrows(self):
@@ -81,7 +85,9 @@ class Matrix:
         return self.rows[i][j]
 
     @staticmethod
-    def identity(n, one, zero):
+    def identity(n, one):
+        """The n x n identity over the type of one; its zero is one - one."""
+        zero = one - one
         return Matrix([[one if i == j else zero for j in range(n)]
                        for i in range(n)])
 
@@ -120,12 +126,6 @@ class Matrix:
     def __rmul__(self, other):
         # scalar * matrix; scalars commute with entries
         return self.map(lambda x: other * x)
-
-    def scale_rows_cols(self, row_factors, col_factors) -> "Matrix":
-        """Entrywise d_i * M_ij * e_j (diagonal conjugations and scalings)."""
-        return Matrix.build(
-            self.nrows, self.ncols,
-            lambda i, j: row_factors[i] * self.rows[i][j] * col_factors[j])
 
     def kron(self, other) -> "Matrix":
         return Matrix.build(

@@ -27,18 +27,12 @@ def _fr(x) -> str:
 
 def _jz_grid(max_j):
     """Spin/charge pairs (j, z) with z in {j, j - 1/2, j - 1}."""
+    return [(j, j - dz) for j in _spins(max_j) for dz in (0, HALF, 1)]
+
+
+def _spins(max_j):
     out = []
     j = HALF
-    while j <= max_j:
-        for dz in (Fraction(0), HALF, Fraction(1)):
-            out.append((j, j - dz))
-        j += HALF
-    return out
-
-
-def _spins(max_j, start=HALF):
-    out = []
-    j = Fraction(start)
     while j <= max_j:
         out.append(j)
         j += HALF

@@ -1,5 +1,7 @@
-"""The zero-skipping matrix product against the dense reference loop.
+"""The one entry type of a Matrix, and the zero-skipping matrix product
+against the dense reference loop.
 
+The constructor lifts every entry to the highest-ranked type among them.
 FracScalar has no canonical form, so two equal values can serialize to
 different bytes.  The product must therefore give each entry exactly the
 type, the bytes and (for NCPoly) the word order of the dense sum.
@@ -77,16 +79,19 @@ def test_random_scalar_matrices(seed):
                          random_matrix(rng, m, p, ZEROS, NONZEROS, density))
 
 
+def entry_types(m):
+    return {type(x) for row in m.rows for x in row}
+
+
 def test_zero_operand_of_higher_type_lifts_the_sum():
-    # the nonzero products are HalfLaurent and int; the skipped zero
-    # products are FracScalar and RadScalar, which the dense sum takes on
+    # a zero of the top type lifts every entry of its matrix at
+    # construction, so every product, skipped or not, has the top type
     a = Matrix([[Q_pow(1), FracScalar.zero(), 3, 0],
                 [FRAC, 0, RadScalar.zero(), Q_pow(2)]])
-    b = Matrix([[Q_pow(-1), 2], [FRAC, 0], [1, RadScalar.zero()],
-                [Q_pow(1), FRAC]])
-    got = a * b
-    assert type(got[0, 0]) is FracScalar
-    assert type(got[0, 1]) is RadScalar
+    b = Matrix([[Q_pow(-1), 2], [FRAC, 0], [1, 0], [Q_pow(1), FRAC]])
+    assert entry_types(a) == {RadScalar}
+    assert entry_types(b) == {FracScalar}
+    assert entry_types(a * b) == {RadScalar}
     assert_same_as_dense(a, b)
 
 
@@ -103,10 +108,34 @@ def test_entirely_zero_dot_products():
     a = Matrix([[0, HalfLaurent.zero()], [Fraction(0), FracScalar.zero()]])
     b = Matrix([[FRAC, 0], [RadScalar.zero(), 0]])
     got = a * b
-    assert [[type(x) for x in row] for row in got.rows] == [
-        [RadScalar, HalfLaurent], [RadScalar, FracScalar]]
+    assert entry_types(a) == {FracScalar}
+    assert entry_types(b) == {RadScalar}
+    assert entry_types(got) == {RadScalar}
     assert got.is_zero()
     assert_same_as_dense(a, b)
+
+
+def test_construction_lifts_to_one_type():
+    tower = [[2, Fraction(-3, 4)], [Q_pow(2) - lam_pow(1), FRAC]]
+    m = Matrix(tower)
+    assert entry_types(m) == {FracScalar}
+    assert all(m[i, j] == tower[i][j] for i in range(2) for j in range(2))
+    rad = Matrix([[0, FRAC, RadScalar.sqrt_qints([2])]])
+    assert entry_types(rad) == {RadScalar}
+    assert rad[0, 0].is_zero() and rad[0, 1] == FRAC
+
+    pres = apq_presentation()
+    mixed = [[2, a_parse("a")], [FRAC, NCPoly.zero(pres)]]
+    m = Matrix(mixed)
+    assert entry_types(m) == {NCPoly}
+    assert {m[i, j].pres for i in range(2) for j in range(2)} == {pres}
+    assert m[0, 0] == NCPoly.scalar(pres, 2)
+    assert m[1, 0] == NCPoly.scalar(pres, FRAC)
+    assert m[0, 1] is mixed[0][1] and m[1, 1] is mixed[1][1]
+
+    one_type = [[FRAC, FracScalar.zero()], [FracScalar.one(), FRAC]]
+    m = Matrix(one_type)
+    assert all(m[i, j] is one_type[i][j] for i in range(2) for j in range(2))
 
 
 def test_ncpoly_entries_with_zeros():
