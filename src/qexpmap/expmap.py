@@ -240,16 +240,29 @@ def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
     jp, jm = hatted(rep1)[0], hatted(rep2)[1]
     total = qexp(1, jp.kron(jm) * (HalfLaurent.monomial(1, -2, 2)
                                    * (1 - Q_pow(4))), rep1.one_entry())
-    pref = []
-    for m1 in rep1.mvals:
-        for m2 in rep2.mvals:
-            u = -4 * m1 * m2
-            v = 4 * (rep1.z * m2 - m1 * rep2.z)
-            if Fraction(u).denominator != 1 or Fraction(v).denominator != 1:
-                raise ValueError("weight product not a half-integer power")
-            pref.append(HalfLaurent.monomial(1, int(u), int(v)))
+    pref = [HalfLaurent.monomial(1, int(-4 * m1 * m2),
+                                 int(4 * (rep1.z * m2 - m1 * rep2.z)))
+            for m1 in rep1.mvals for m2 in rep2.mvals]
     return Matrix.build(total.nrows, total.ncols,
                         lambda r, c: pref[r] * total[r, c])
+
+
+@lru_cache(maxsize=None)
+def _r21_inverse(j1, j2) -> Matrix:
+    """R21^-1: the inverse of r_matrix_rep(j2, 0, j1, 0) with its legs
+    flipped to (j1, j2).  That flipped R is diag(Q^(-2 m1 m2)) E_{Q^2}(x)
+    with x = Q^(-1) lambda (1-Q^2) Jminus_hat (x) Jplus_hat, and
+    E_{Q^2}(x)^-1 = E_{Q^-2}(-x), so R21^-1 is
+    qexp(-1, -x) diag(Q^(2 m1 m2)).  At charge 0 the lambda^(-1/2) of
+    each twisted ladder cancels the lambda of x."""
+    rep1 = gamma_rep(j1, 0, "rational")
+    rep2 = gamma_rep(j2, 0, "rational")
+    jm, jp = hatted(rep1)[1], hatted(rep2)[0]
+    total = qexp(-1, jm.kron(jp) * (HalfLaurent.monomial(1, -2, 2)
+                                    * (Q_pow(4) - 1)), rep1.one_entry())
+    diag = [Q_pow(int(4 * m1 * m2)) for m1 in rep1.mvals for m2 in rep2.mvals]
+    return Matrix.build(total.nrows, total.ncols,
+                        lambda r, c: total[r, c] * diag[c])
 
 
 def quasitriangular_identities(j1, z1, j2, z2) -> list[Identity]:
@@ -360,33 +373,28 @@ def pi_t_vs_r_identities(j) -> list[Identity]:
 
     Plus side: Gamma(pi+(t_ik))[l,m] = R[(i,l),(k,m)] with R restricted to
     the pair (1/2, j).  Minus side: Gamma(pi-(t_ik))[l,m] equals entry
-    ((l,i),(m,k)) of the INVERSE of R restricted to the swapped pair
-    (j, 1/2) - the transposed subscript placement of the usual statement
-    only makes sense with the tensor legs in that order.
+    ((i,l),(k,m)) of R21^-1, the INVERSE of R restricted to the swapped
+    pair (j, 1/2) with its legs flipped back to (1/2, j) - the transposed
+    subscript placement of the usual statement.
     """
     j = Fraction(j)
     rep = gamma_rep(j, j, "rational")
     half = Fraction(1, 2)
-    rmat = r_matrix_rep(half, 0, j, 0, "rational")
-    rinv_swapped = r_matrix_rep(j, 0, half, 0, "rational").inverse()
     tdef = [[a_parse("a"), a_parse("b")], [a_parse("c"), a_parse("d")]]
     dim = rep.dim
     idents = []
-    for i in range(2):
-        for k in range(2):
-            got = u_rep_apply(rep, pi_apply("+", tdef[i][k]))
-            want = Matrix.build(
-                dim, dim, lambda l, m: rmat[i * dim + l, k * dim + m])
-            idents.append(Identity(
-                f"Gamma(pi+(t[{i},{k}])) vs R-block j={j}", got, want))
-    for i in range(2):
-        for k in range(2):
-            got = u_rep_apply(rep, pi_apply("-", tdef[i][k]))
-            want = Matrix.build(
-                dim, dim, lambda l, m: rinv_swapped[l * 2 + i, m * 2 + k])
-            idents.append(Identity(
-                f"Gamma(pi-(t[{i},{k}])) vs R^-1-block j={j}", got, want,
-                note="inverse taken on the swapped pair (j, 1/2)"))
+    for sign, rmat, label, note in (
+            ("+", r_matrix_rep(half, 0, j, 0, "rational"), "R-block", ""),
+            ("-", _r21_inverse(half, j), "R^-1-block",
+             "inverse taken on the swapped pair (j, 1/2)")):
+        for i in range(2):
+            for k in range(2):
+                got = u_rep_apply(rep, pi_apply(sign, tdef[i][k]))
+                want = Matrix.build(
+                    dim, dim, lambda l, m: rmat[i * dim + l, k * dim + m])
+                idents.append(Identity(
+                    f"Gamma(pi{sign}(t[{i},{k}])) vs {label} j={j}",
+                    got, want, note=note))
     return idents
 
 
@@ -396,14 +404,18 @@ def tprime_r_identities(j1, j2) -> list[Identity]:
 
     With L = l_matrix(sign, j2) and the first leg represented at spin j1:
     the plus sign reproduces R on (j1, j2) exactly; the minus sign does
-    not reproduce R but the leg-flipped inverse of R on (j2, j1), and the
-    identity is recorded with that corrected right-hand side.
+    not reproduce R but R21^-1, the leg-flipped inverse of R on (j2, j1),
+    and the identity is recorded with that corrected right-hand side.
     """
     j1, j2 = Fraction(j1), Fraction(j2)
     rep1 = gamma_rep(j1, j1, "rational")
     d1 = rep1.dim
     idents = []
-    for sign in ("+", "-"):
+    for sign, rhs, note in (
+            ("+", r_matrix_rep(j1, 0, j2, 0, "rational"), ""),
+            ("-", _r21_inverse(j1, j2),
+             "minus sign equals the leg-flipped inverse intertwiner, "
+             "not the intertwiner itself")):
         lmat = l_matrix(sign, j2, "rational")
         d2 = lmat.nrows
         blocks = [[u_rep_apply(rep1, lmat[l, m]) for m in range(d2)]
@@ -411,14 +423,6 @@ def tprime_r_identities(j1, j2) -> list[Identity]:
         lhs = Matrix.build(
             d1 * d2, d1 * d2,
             lambda rr, cc: blocks[rr % d2][cc % d2][rr // d2, cc // d2])
-        if sign == "+":
-            rhs = r_matrix_rep(j1, 0, j2, 0, "rational")
-            note = ""
-        else:
-            rhs = r_matrix_rep(j2, 0, j1, 0, "rational").inverse() \
-                .flip_legs(int(2 * j1) + 1, int(2 * j2) + 1)
-            note = ("minus sign equals the leg-flipped inverse intertwiner, "
-                    "not the intertwiner itself")
         idents.append(Identity(
             f"(Gamma x Gamma(pi{sign}))(T') vs R ({j1},{j2})",
             lhs, rhs, note=note))

@@ -1,9 +1,6 @@
 """Small dense matrices over exact scalars or algebra elements.
 
-Entries only need +, -, * among themselves; inversion additionally needs
-field division and is provided for FracScalar entries via Gauss-Jordan
-elimination with exact arithmetic (pivot = first entry in column order
-that is nonzero under cross-multiplication equality).
+Entries only need +, -, * among themselves.
 
 Every entry of a matrix has one type: the constructor lifts each entry to
 the highest-ranked type among them (int, Fraction, HalfLaurent,
@@ -23,7 +20,7 @@ value and bytes unchanged.
 from __future__ import annotations
 
 from .rewrite import NCPoly
-from .scalars import RANK, FracScalar, lift_scalar, scalar_is_zero
+from .scalars import RANK, lift_scalar, scalar_is_zero
 
 
 class MatrixError(ArithmeticError):
@@ -133,18 +130,6 @@ class Matrix:
             lambda i, j: self.rows[i // other.nrows][j // other.ncols]
             * other.rows[i % other.nrows][j % other.ncols])
 
-    def flip_legs(self, d1: int, d2: int) -> "Matrix":
-        """Conjugate by the leg-swap permutation of a d1*d2 tensor index."""
-        if self.nrows != d1 * d2 or self.ncols != d1 * d2:
-            raise MatrixError("flip_legs needs a square d1*d2 matrix")
-
-        def swap(i):
-            a, b = divmod(i, d2)
-            return b * d1 + a
-
-        return Matrix.build(self.nrows, self.ncols,
-                            lambda i, j: self.rows[swap(i)][swap(j)])
-
     def is_zero(self) -> bool:
         return all(scalar_is_zero(x) for row in self.rows for x in row)
 
@@ -154,32 +139,6 @@ class Matrix:
         return (self - other).is_zero()
 
     __hash__ = None
-
-    def inverse(self) -> "Matrix":
-        """Exact inverse over the FracScalar field."""
-        n = self.nrows
-        if n != self.ncols:
-            raise MatrixError("inverse of non-square matrix")
-        work = [[lift_scalar(x, FracScalar) for x in row] for row in self.rows]
-        result = [[FracScalar.one() if i == j else FracScalar.zero()
-                   for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n)
-                          if not work[r][col].is_zero()), None)
-            if pivot is None:
-                raise MatrixError(f"singular matrix (column {col})")
-            work[col], work[pivot] = work[pivot], work[col]
-            result[col], result[pivot] = result[pivot], result[col]
-            inv = work[col][col].inverse()
-            work[col] = [x * inv for x in work[col]]
-            result[col] = [x * inv for x in result[col]]
-            for r in range(n):
-                if r == col or work[r][col].is_zero():
-                    continue
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                result[r] = [a - f * b for a, b in zip(result[r], result[col])]
-        return Matrix(result)
 
     def to_json(self, entry_fn):
         return [[entry_fn(x) for x in row] for row in self.rows]

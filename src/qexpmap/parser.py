@@ -13,14 +13,17 @@ Scalar names parse to HalfLaurent monomials ('p' = Q*lambda, 'q' =
 Q*lambda^-1; under a lambda_one presentation both read as Q).  The result
 is the polynomial denoted by the expression, built by the NCPoly
 constructor from the expanded terms: each is validated once, like terms are
-merged, and the rewrite engine runs once.
+merged, and the rewrite engine runs once.  The term guard also bounds the
+expansion: a product that would hold more raw terms than the guard raises
+GuardExceeded before it is formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rewrite import NCPoly, ParseError, Presentation, SCALING
+from .rewrite import (GuardExceeded, NCPoly, ParseError, Presentation, SCALING,
+                      term_guard)
 from .scalars import HalfLaurent
 
 
@@ -63,6 +66,7 @@ class _Parser:
         self.pres = pres
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.guard = term_guard()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -75,6 +79,14 @@ class _Parser:
         return tok
 
     # raw polynomial = list of (coeff, atoms); no normal ordering
+
+    def product(self, left, right):
+        """The expanded product of two raw term lists; GuardExceeded before
+        it would hold more terms than the term guard."""
+        if len(left) * len(right) > self.guard:
+            raise GuardExceeded(
+                f"expanding the expression exceeded {self.guard} terms")
+        return [(c1 * c2, w1 + w2) for c1, w1 in left for c2, w2 in right]
 
     def parse(self):
         terms = self.expr()
@@ -103,8 +115,7 @@ class _Parser:
         terms = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            rhs = self.factor()
-            terms = [(c1 * c2, w1 + w2) for c1, w1 in terms for c2, w2 in rhs]
+            terms = self.product(terms, self.factor())
         return terms
 
     def factor(self):
@@ -139,7 +150,7 @@ class _Parser:
                              start[2])
         out = [(1, ())]
         for _ in range(int(exp)):
-            out = [(c1 * c2, w1 + w2) for c1, w1 in out for c2, w2 in terms]
+            out = self.product(out, terms)
         return out
 
     def _unwrap(self, node):
@@ -191,7 +202,10 @@ class _Parser:
         den = 1
         if self.peek()[0] == "/":
             self.take()
-            den = int(self.take("num")[1])
+            tok = self.take("num")
+            den = int(tok[1])
+            if den == 0:
+                raise ParseError("zero denominator in exponent", tok[2])
         return Fraction(sign * num, den)
 
 

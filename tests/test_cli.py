@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +79,34 @@ class TestNormalOrder:
         monkeypatch.setenv("QEXPMAP_GUARD", "2")
         code, _, err = run(capsys, "normal-order", "d^3*a^3")
         assert code == 3
+        assert "guard" in err
+
+    @pytest.mark.parametrize("algebra,expr", [("A", "a^1/0"),
+                                              ("U", "k^1/0")])
+    def test_zero_denominator_exit_two(self, capsys, algebra, expr):
+        code, out, err = run(capsys, "normal-order", "--algebra", algebra,
+                             expr)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == ("error: zero denominator in exponent "
+                               "(at offset 4)")
+
+    def test_guard_bounds_the_expansion(self, capsys, monkeypatch):
+        # expanding (a+b)^16 in full makes 2^16 raw terms before the
+        # engine's guard starts counting: seconds and about 150 MB, doubling
+        # with each step of the exponent
+        monkeypatch.setenv("QEXPMAP_GUARD", "100")
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "normal-order", "(a+b)^16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
         assert "guard" in err
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])

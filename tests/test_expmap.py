@@ -31,7 +31,7 @@ GOLDENS = Path(__file__).parent / "goldens"
 def fresh_caches():
     """Forget every construction built so far in this process."""
     for cache in (expmap._t_closed, expmap._factorized_core,
-                  expmap._l_matrix, expmap._r_matrix,
+                  expmap._l_matrix, expmap._r_matrix, expmap._r21_inverse,
                   algebra_a._coproduct_atom):
         cache.cache_clear()
 
@@ -161,6 +161,29 @@ class TestRMatrices:
                              "json") == want
 
 
+def flip_legs(rmat, d1, d2):
+    """A matrix on legs of dimensions (d2, d1), re-indexed to (d1, d2)."""
+    def swap(i):
+        a, b = divmod(i, d2)
+        return b * d1 + a
+
+    return Matrix.build(d1 * d2, d1 * d2,
+                        lambda r, c: rmat[swap(r), swap(c)])
+
+
+class TestR21Inverse:
+    @pytest.mark.parametrize("two_j1,two_j2", [
+        (a, b) for a in range(5) for b in range(5) if a + b <= 7])
+    def test_two_sided_inverse_of_flipped_r(self, two_j1, two_j2):
+        j1, j2 = Fraction(two_j1, 2), Fraction(two_j2, 2)
+        r21 = flip_legs(r_matrix_rep(j2, 0, j1, 0),
+                        two_j1 + 1, two_j2 + 1)
+        inv = expmap._r21_inverse(j1, j2)
+        ident = Matrix.identity(r21.nrows, FracScalar.one())
+        assert inv * r21 == ident
+        assert r21 * inv == ident
+
+
 def embed_pair(rmat, dims, p, q):
     """A matrix on legs (p, q) of a three-leg space, as the identity on the
     third leg: the leg permutation that puts p and q side by side."""
@@ -222,12 +245,14 @@ class TestLMatrices:
 
 class TestIntertwiners:
     def test_pi_t_vs_r(self):
-        for j in (HALF, Fraction(1)):
-            assert_all(pi_t_vs_r_identities(j))
+        for two_j in range(5):
+            assert_all(pi_t_vs_r_identities(Fraction(two_j, 2)))
 
     def test_tprime_vs_r(self):
-        for j1, j2 in ((HALF, HALF), (HALF, Fraction(1)), (Fraction(1), HALF)):
-            assert_all(tprime_r_identities(j1, j2))
+        for two_j1 in range(4):
+            for two_j2 in range(4):
+                assert_all(tprime_r_identities(Fraction(two_j1, 2),
+                                               Fraction(two_j2, 2)))
 
 
 class TestSharedConstructions:
@@ -272,6 +297,8 @@ class TestSharedConstructions:
             path = tmp_path / f"{run}.json"
             assert main(["verify", "--suite", "all", "--out", str(path)]) == 0
             assert path.read_bytes() == ref, run
+            # R21^-1 on (1/2, 1/2), (1/2, 1) and (1, 1/2), in the first run
+            assert expmap._r21_inverse.cache_info().misses == 3, run
         for name, build in goldens.GOLDEN_BUILDERS.items():
             assert build() is built[name], name
         assert goldens.compare(GOLDENS) == []

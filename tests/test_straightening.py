@@ -1,0 +1,84 @@
+"""Closed-form straightening formulas as oracles for the rewrite engine.
+
+Each right-hand side is a sum of words that are already in normal order,
+built by NCPoly products that merge powers of one generator but never
+swap two generators, so no commutation rule of the engine shapes it.
+"""
+
+import pytest
+
+from qexpmap import rewrite
+from qexpmap.algebra_a import a_parse, agen, apq_presentation
+from qexpmap.algebra_u import u_parse, u_presentation, ugen
+from qexpmap.rewrite import NCPoly
+from qexpmap.scalars import FracScalar, HalfLaurent, Q_pow, qfact
+
+
+def without_swaps(monkeypatch, build, *args):
+    """build(*args), failing if the rewrite engine swaps two generators."""
+    find_event = rewrite._find_event
+
+    def merges_only(pres, atoms):
+        event = find_event(pres, atoms)
+        assert event is None or event[0] == "merge", atoms
+        return event
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rewrite, "_find_event", merges_only)
+        return build(*args)
+
+
+def k_binomial(c, t):
+    """Lusztig's [K; c; t] = prod_{s=1..t} (K Q^(c-s+1) - K^-1 Q^(-c+s-1))
+    / (Q^s - Q^-s) with K = k^2."""
+    pres = u_presentation()
+    out = NCPoly.one(pres)
+    for s in range(1, t + 1):
+        num = (NCPoly.scalar(pres, Q_pow(2 * (c - s + 1))) * ugen("k", 2)
+               - NCPoly.scalar(pres, Q_pow(2 * (s - c - 1))) * ugen("k", -2))
+        out = out * num * FracScalar(HalfLaurent.one(),
+                                     Q_pow(2 * s) - Q_pow(-2 * s))
+    return out
+
+
+def e_f_straightened(a, b):
+    """e^a f^b = sum_t [a]! [b]! / ([a-t]! [b-t]!) f^(b-t) [K; 2t-a-b; t]
+    e^(a-t): Lusztig, Introduction to Quantum Groups (1993), 3.1, with
+    K = k^2 and q = Q, in ordinary instead of divided powers."""
+    pres = u_presentation()
+    total = NCPoly.zero(pres)
+    for t in range(min(a, b) + 1):
+        coeff = FracScalar(qfact(a) * qfact(b), qfact(a - t) * qfact(b - t))
+        word = (ugen("f") ** (b - t) * k_binomial(2 * t - a - b, t)
+                * ugen("e") ** (a - t))
+        total = total + word * coeff
+    return total
+
+
+def d_a_straightened(n):
+    """d a^n = a^n d + c_n a^(n-1) b c with c_n = p^-n q^(1-n) - q."""
+    p, q = HalfLaurent.monomial(1, 2, 2), HalfLaurent.monomial(1, 2, -2)
+    c_n = p ** -n * q ** (1 - n) - q
+    a = agen("a")
+    return (a ** n * agen("d") + NCPoly.scalar(apq_presentation(), c_n)
+            * a ** (n - 1) * agen("b") * agen("c"))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_e_power_times_f_power(a, b, monkeypatch):
+    want = without_swaps(monkeypatch, e_f_straightened, a, b)
+    assert u_parse(f"e^{a}*f^{b}") == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_d_times_a_power(n, monkeypatch):
+    """By induction on n.  At n = 1 it is the defining relation
+    d a = a d + (p^-1 - q) b c.  The relations b a = q^-1 a b and
+    c a = p^-1 a c give b c a = p^-1 q^-1 a b c, so
+    d a^(n+1) = (a^n d + c_n a^(n-1) b c) a
+              = a^(n+1) d + ((p^-1 - q) + p^-1 q^-1 c_n) a^n b c,
+    that is c_(n+1) = (p^-1 - q) + p^-1 q^-1 c_n, which
+    c_n = p^-n q^(1-n) - q solves."""
+    want = without_swaps(monkeypatch, d_a_straightened, n)
+    assert a_parse(f"d*a^{n}") == want
