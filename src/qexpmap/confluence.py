@@ -11,7 +11,6 @@ the same in every run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rewrite import (GuardExceeded, NCPoly, Presentation, _apply_event,
@@ -30,13 +29,13 @@ def _events(pres, atoms):
     return out
 
 
-@dataclass
 class ConfluenceReport:
-    presentation: str
-    max_len: int
-    words_checked: int = 0
-    confluent: bool = True
-    counterexamples: list = field(default_factory=list)
+    def __init__(self, presentation: str, max_len: int, words_checked: int = 0,
+                 confluent: bool = True, counterexamples: list | None = None):
+        self.presentation, self.max_len = presentation, max_len
+        self.words_checked, self.confluent = words_checked, confluent
+        self.counterexamples = [] if counterexamples is None \
+            else counterexamples
 
     def to_json(self):
         return {"presentation": self.presentation, "max_len": self.max_len,

@@ -148,6 +148,10 @@ class _Parser:
         if exp.denominator != 1 or exp < 0:
             raise ParseError("general expressions take nonnegative integer powers",
                              start[2])
+        if exp and len(terms) == 1 and len(terms[0][1]) == 1:
+            # (c*g^e)^n = c^n*g^(e*n): one atom, not n atoms to merge
+            (c, ((g, e),)), = terms
+            return [(c ** int(exp), ((g, e * exp),))]
         out = [(1, ())]
         for _ in range(int(exp)):
             out = self.product(out, terms)

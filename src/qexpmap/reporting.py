@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .matrices import Matrix
 from .rewrite import NCPoly
 from .scalars import eval_numeric, scalar_is_zero
 
 
-@dataclass
 class Identity:
     """One verifiable equation lhs = rhs (matrices, polynomials or scalars)."""
-    label: str
-    lhs: object
-    rhs: object
-    note: str = ""
+
+    def __init__(self, label: str, lhs, rhs, note: str = ""):
+        self.label, self.lhs, self.rhs, self.note = label, lhs, rhs, note
 
     def residual(self):
         return self.lhs - self.rhs
@@ -52,13 +48,12 @@ def _aligned(lhs, rhs):
     return [*lt.values(), *rt.values()], pairs
 
 
-@dataclass
 class CheckResult:
-    check: str
-    params: dict
-    passed: bool
-    residuals: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, check: str, params: dict, passed: bool,
+                 residuals: list | None = None, notes: list | None = None):
+        self.check, self.params, self.passed = check, params, passed
+        self.residuals = [] if residuals is None else residuals
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {"check": self.check, "params": self.params,

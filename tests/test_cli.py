@@ -390,3 +390,20 @@ class TestGolden:
         code, _, err = run(capsys, "golden", "compare",
                            str(tmp_path / "absent"))
         assert code == 2
+
+
+def test_import_loads_no_introspection_modules():
+    """Importing the CLI runs no class-building machinery: qexpmap itself
+    must not load dataclasses or the inspect/ast/dis/tokenize tree behind
+    it.  Modules the interpreter's site hooks loaded first are not ours."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys; before = set(sys.modules); "
+            "import qexpmap.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    loaded = set(json.loads(proc.stdout))
+    assert "qexpmap.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

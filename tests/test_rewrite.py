@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from qexpmap import confluence, parser, rewrite
 from qexpmap.algebra_a import a_parse, agen, apq_presentation
-from qexpmap.algebra_u import u_presentation, ugen
+from qexpmap.algebra_u import u_parse, u_presentation, ugen
 from qexpmap.confluence import confluence_check
 from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
@@ -58,6 +59,20 @@ class TestParser:
         # an integral coefficient is stored as an int, as "a" stores 1
         for x in (a_parse("2*a - 3 + a"), a_parse("(2)^2*b")):
             assert {type(c) for c in x.terms.values()} == {int}
+
+    @pytest.mark.parametrize("parse, power, direct", [
+        (a_parse, "(a)^4000", "a^4000"),
+        (a_parse, "(2*a)^3", "8*a^3"),
+        (a_parse, "(a^-1)^3", "a^-3"),
+        (a_parse, "(Q*b)^5", "Q^5*b^5"),
+        (a_parse, "(D^1/2)^3", "D^3/2"),
+        (u_parse, "(k^-1/2)^4", "k^-2"),
+        (a_parse, "(a)^0", "1"),
+    ])
+    def test_power_of_one_atom_is_one_atom(self, parse, power, direct):
+        t0 = time.perf_counter()
+        assert parse(power) == parse(direct)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_validates_each_term_once_and_normal_orders_once(
             self, monkeypatch):

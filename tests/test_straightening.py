@@ -82,3 +82,54 @@ def test_d_times_a_power(n, monkeypatch):
     c_n = p^-n q^(1-n) - q solves."""
     want = without_swaps(monkeypatch, d_a_straightened, n)
     assert a_parse(f"d*a^{n}") == want
+
+
+def gaussian_binomial(m, k, r):
+    """[m choose k]_r by the Pascal rule [m+1, k] = r^k [m, k] + [m, k-1]."""
+    if k < 0 or k > m:
+        return HalfLaurent.zero()
+    if k == 0 or k == m:
+        return HalfLaurent.one()
+    return r ** k * gaussian_binomial(m - 1, k, r) \
+        + gaussian_binomial(m - 1, k - 1, r)
+
+
+def d_power_a_power_straightened(m, n):
+    """d^m a^n = sum_k C_k a^(n-k) (b c)^k d^(m-k) with r = p^-1 q^-1 and
+    C_k = q^k [m choose k]_r prod_{i<k} (r^(n-i) - 1), written in normal
+    order through (b c)^k = (q p^-1)^(k(k-1)/2) b^k c^k."""
+    p, q = HalfLaurent.monomial(1, 2, 2), HalfLaurent.monomial(1, 2, -2)
+    r = p ** -1 * q ** -1
+    pres = apq_presentation()
+    total = NCPoly.zero(pres)
+    for k in range(min(m, n) + 1):
+        coeff = q ** k * gaussian_binomial(m, k, r) * (q * p ** -1) ** (
+            k * (k - 1) // 2)
+        for i in range(k):
+            coeff = coeff * (r ** (n - i) - HalfLaurent.one())
+        word = (agen("a") ** (n - k) * agen("b") ** k * agen("c") ** k
+                * agen("d") ** (m - k))
+        total = total + NCPoly.scalar(pres, coeff) * word
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_d_power_times_a_power(m, n, monkeypatch):
+    """By induction on m, from d a^i = a^i d + c_i a^(i-1) z with z = b c
+    and c_i = p^-i q^(1-i) - q = q (r^i - 1), r = p^-1 q^-1.
+    The relations b a = q^-1 a b, c a = p^-1 a c, d b = p^-1 b d and
+    d c = q^-1 c d give z a = r a z and d z = r z d, so
+    d (a^i z^k d^l) = r^k a^i z^k d^(l+1) + c_i a^(i-1) z^(k+1) d^l.
+    Writing d^m a^n = sum_k C_(m,k) a^(n-k) z^k d^(m-k) with C_(0,0) = 1,
+    one more d gives
+    C_(m+1,k) = r^k C_(m,k) + q (r^(n-k+1) - 1) C_(m,k-1).
+    C_(m,k) = q^k [m choose k]_r P_k with P_k = prod_{i<k} (r^(n-i) - 1)
+    solves it: since P_k = P_(k-1) (r^(n-k+1) - 1), the right side is
+    q^k P_k (r^k [m choose k]_r + [m choose k-1]_r) = q^k P_k [m+1 choose k]_r
+    by the Pascal rule, and [0 choose k]_r = 0 for k > 0.  At m = 1 it is
+    the d a^n formula above.  Finally c b = q p^-1 b c moves each c of
+    z^k past the b's to its right, k(k-1)/2 swaps in all, so
+    z^k = (q p^-1)^(k(k-1)/2) b^k c^k."""
+    want = without_swaps(monkeypatch, d_power_a_power_straightened, m, n)
+    assert a_parse(f"d^{m}*a^{n}") == want

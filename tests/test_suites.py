@@ -121,6 +121,17 @@ def test_confluence_residuals_are_the_counterexamples(monkeypatch):
         assert r.to_json()["residuals"] == [COUNTEREXAMPLE]
 
 
+def test_reports_default_to_fresh_lists():
+    first, second = (reporting.CheckResult(c, {}, True) for c in "xy")
+    first.residuals.append(1)
+    first.notes.append(1)
+    assert second.residuals == [] and second.notes == []
+    apq, uq = (ConfluenceReport(name, 2) for name in ("apq", "uq"))
+    apq.counterexamples.append(COUNTEREXAMPLE)
+    assert uq.counterexamples == [] and uq.words_checked == 0 and uq.confluent
+    assert Identity("x", 1, 1).note == ""
+
+
 class TestNumericClose:
     # Q^40 is about 8e15 at Q = 2.5, so 1 is below 1e-10 of the scale;
     # at Q = 1.2 it is about 1470, and 1 is not
