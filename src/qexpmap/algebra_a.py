@@ -78,17 +78,12 @@ def coproduct(x: NCPoly) -> NCPoly:
 
 @lru_cache(maxsize=None)
 def _coproduct_images() -> dict[str, NCPoly]:
+    """Delta(t_ik) = sum_l t_il (x) t_lk on the defining matrix T."""
     t2 = tensor_square(apq_presentation())
-
-    def leg(name, i):
-        return NCPoly.gen(t2, f"{name}@{i}", 1)
-
-    return {
-        "a": leg("a", 1) * leg("a", 2) + leg("b", 1) * leg("c", 2),
-        "b": leg("a", 1) * leg("b", 2) + leg("b", 1) * leg("d", 2),
-        "c": leg("c", 1) * leg("a", 2) + leg("d", 1) * leg("c", 2),
-        "d": leg("c", 1) * leg("b", 2) + leg("d", 1) * leg("d", 2),
-    }
+    t = (("a", "b"), ("c", "d"))
+    return {t[i][k]: tensor(agen(t[i][0]), agen(t[0][k]), t2)
+            + tensor(agen(t[i][1]), agen(t[1][k]), t2)
+            for i in range(2) for k in range(2)}
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from .algebra_a import (_coproduct_atom, apq_presentation,
 from .matrices import Matrix
 from .reporting import Identity
 from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, UsageError,
-                      hom_apply, tensor_square)
+                      hom_apply, leg_name, tensor_square)
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, ScalarError,
                       qint, scalar_lambda_one)
 
@@ -87,7 +87,7 @@ def _u_coproduct_images() -> dict[str, NCPoly]:
     t2 = tensor_square(u_presentation())
 
     def leg(name, i, exp=1):
-        return NCPoly.gen(t2, f"{name}@{i}", exp)
+        return NCPoly.gen(t2, leg_name(name, i), exp)
 
     return {
         "e": leg("e", 1) * leg("k", 2, -1) + leg("k", 1) * leg("e", 2),

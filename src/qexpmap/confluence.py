@@ -71,7 +71,6 @@ def _normal_forms(pres, atoms, memo, budget):
     its terms.  A word's forms do not depend on the word around it, so one
     memo, shared across the whole check, explores each word once.
     """
-    atoms = tuple((g, e) for g, e in atoms if e)
     if atoms in memo:
         return memo[atoms]
     events = _events(pres, atoms)
@@ -101,7 +100,7 @@ def confluence_check(pres: Presentation, max_len: int = 3) -> ConfluenceReport:
     for length in range(2, max_len + 1):
         for word in itertools.product(letters, repeat=length):
             report.words_checked += 1
-            forms = _normal_forms(pres, tuple(word), memo, budget)
+            forms = _normal_forms(pres, word, memo, budget)
             if len(forms) > 1:
                 report.confluent = False
                 report.counterexamples.append({

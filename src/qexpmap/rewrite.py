@@ -7,10 +7,18 @@ Normal ordering rewrites any word into the PBW normal form, leftmost
 innermost, with immediate like-term collection.  Termination is enforced
 by a term-count guard rather than a proof; ``confluence_check`` validates
 order-independence empirically.
+
+Every term the engine sees holds one invariant: a nonzero coefficient and
+a tuple word of atoms the presentation allows, none with a zero exponent.
+NCPoly's constructor establishes it once, where terms come in from
+outside (``_validate_atoms``, then the merge of like terms).  Products of
+nonzero scalars are nonzero and ``_apply_event`` drops merged atoms whose
+exponents cancel, so arithmetic and rewriting keep it and nothing re-checks.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 from fractions import Fraction
 
@@ -104,21 +112,16 @@ class Presentation:
         cached = self._unit_rules.get(key)
         if cached is not None:
             return cached
-        kappa, corr = self.rules[(g1, g2)]
-        rule = (kappa, tuple(corr))
+        rule = self.rules[(g1, g2)]
         y, x = (g1, 1), (g2, 1)
         if s2 == -1:
-            if not self.is_invertible(g2):
-                raise RewriteError(f"negative power of non-invertible {g2}")
             rule = _invert(rule, x)
             x = (g2, -1)
         if s1 == -1:
-            if not self.is_invertible(g1):
-                raise RewriteError(f"negative power of non-invertible {g1}")
             rule = _invert(rule, y)
             y = (g1, -1)
         kappa, corr = rule
-        out = [(kappa, (x, y))] + [(c, w) for c, w in corr]
+        out = [(kappa, (x, y)), *corr]
         self._unit_rules[key] = out
         return out
 
@@ -130,7 +133,7 @@ def _invert(rule, z):
     kappa, corr = rule
     ki = lift_scalar(kappa, FracScalar).inverse()
     zi = (z[0], -z[1])
-    new_corr = tuple((-(ki * c), (zi,) + tuple(w) + (zi,)) for c, w in corr)
+    new_corr = tuple((-(ki * c), (zi,) + w + (zi,)) for c, w in corr)
     return (ki, new_corr)
 
 
@@ -163,16 +166,10 @@ def _apply_event(pres, coeff, atoms, event):
         # distinct scaling generators commute
         return [(coeff, atoms[:i] + ((g2, e2), (g1, e1)) + atoms[i + 2:])]
     if s1_scal or s2_scal:
-        if s1_scal:
-            scal, sexp, other, oexp = g1, e1, g2, e2
-            h = 2 * sexp * oexp       # move G^sexp right past other^oexp
-        else:
-            scal, sexp, other, oexp = g2, e2, g1, e1
-            h = -2 * sexp * oexp      # move other^oexp right past G^sexp
-        h = Fraction(h)
-        if h.denominator != 1:
-            raise RewriteError(
-                f"scaling exponent {sexp} of {scal} is not a half-integer")
+        if s1_scal:     # move G^e1 right past other^e2
+            scal, other, h = g1, g2, 2 * e1 * e2
+        else:           # move other^e1 right past G^e2
+            scal, other, h = g2, g1, -2 * e1 * e2
         factor = pres.mu(scal, other) ** int(h)
         return [(coeff * factor,
                  atoms[:i] + ((g2, e2), (g1, e1)) + atoms[i + 2:])]
@@ -182,18 +179,18 @@ def _apply_event(pres, coeff, atoms, event):
     s2 = 1 if e2 > 0 else -1
     left = atoms[:i] + (((g1, e1 - s1),) if e1 != s1 else ())
     right = (((g2, e2 - s2),) if e2 != s2 else ()) + atoms[i + 2:]
-    out = []
-    for c, w in pres.unit_rule(g1, s1, g2, s2):
-        out.append((coeff * c, left + tuple(w) + right))
-    return out
+    return [(coeff * c, left + w + right)
+            for c, w in pres.unit_rule(g1, s1, g2, s2)]
 
 
-def normal_order_terms(pres, terms, guard=None):
-    """Rewrite raw (coeff, atoms) terms to a normal-form dict word -> coeff."""
-    if guard is None:
-        guard = term_guard()
+def normal_order_terms(pres, terms):
+    """Rewrite (coeff, atoms) terms to a normal-form dict word -> coeff.
+
+    The terms must hold the invariant of the module docstring; every term
+    _apply_event derives from them keeps it, so none is re-checked here."""
+    guard = term_guard()
     result = {}
-    stack = [(c, tuple(a)) for c, a in terms]
+    stack = list(terms)
     seen = 0
     while stack:
         coeff, atoms = stack.pop()
@@ -201,9 +198,6 @@ def normal_order_terms(pres, terms, guard=None):
         if seen > guard:
             raise GuardExceeded(
                 f"normal ordering exceeded {guard} intermediate terms")
-        if scalar_is_zero(coeff):
-            continue
-        atoms = tuple(a for a in atoms if a[1])
         event = _find_event(pres, atoms)
         if event is None:
             acc = result.get(atoms)
@@ -342,7 +336,7 @@ class NCPoly:
             # a scalar operand leaves the other's words normal and distinct;
             # reversed is the order normal ordering would give them, which
             # later sums of FracScalars need for their bytes
-            terms = {w: c for c, w in reversed(raw) if not scalar_is_zero(c)}
+            terms = {w: c for c, w in reversed(raw)}
         else:
             terms = normal_order_terms(self.pres, raw)
         return NCPoly._from_normal(self.pres, terms)
@@ -367,9 +361,6 @@ class NCPoly:
         if len(self.terms) != 1:
             raise RewriteError("can only invert monomial elements")
         (word, coeff), = self.terms.items()
-        for g, _ in word:
-            if not self.pres.is_invertible(g):
-                raise RewriteError(f"generator {g} is not invertible")
         if isinstance(coeff, (int, Fraction)):
             inv_c = Fraction(1, coeff)
             if inv_c.denominator == 1:
@@ -418,15 +409,15 @@ class NCPoly:
 
     @staticmethod
     def from_json(pres, data) -> "NCPoly":
+        """Inverse of to_json; dpow goes back to its place in the word."""
         scal_gens = [g for g, k in pres.generators if k == SCALING]
         raw = []
         for t in data:
-            atoms = []
+            atoms = [(g, Fraction(e)) for g, e in t["word"]]
             dpow = Fraction(t.get("dpow", "0/1"))
             if dpow and scal_gens:
-                atoms.append((scal_gens[0], dpow))
-            for g, e in t["word"]:
-                atoms.append((g, Fraction(e)))
+                bisect.insort(atoms, (scal_gens[0], dpow),
+                              key=lambda a: pres.order[a[0]])
             raw.append((scalar_from_json(t["coeff"]), tuple(atoms)))
         return NCPoly(pres, raw)
 
@@ -487,9 +478,7 @@ def tensor(x: NCPoly, y: NCPoly, target: Presentation) -> NCPoly:
     for w1, c1 in x.terms.items():
         w1 = _on_leg(w1, 1)
         for w2, c2 in right:
-            c = c1 * c2
-            if not scalar_is_zero(c):
-                terms[w1 + w2] = c
+            terms[w1 + w2] = c1 * c2
     return NCPoly._from_normal(target, terms)
 
 

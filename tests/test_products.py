@@ -111,9 +111,9 @@ def test_scalar_products_and_tensor_skip_normal_ordering(monkeypatch):
     calls = []
     normal_order_terms = rewrite.normal_order_terms
 
-    def counting(pres, terms, guard=None):
+    def counting(pres, terms):
         calls.append(pres.name)
-        return normal_order_terms(pres, terms, guard)
+        return normal_order_terms(pres, terms)
 
     monkeypatch.setattr(rewrite, "normal_order_terms", counting)
     for c in SCALARS + ZEROS:

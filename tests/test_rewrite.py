@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -10,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from qexpmap import confluence, parser, rewrite
-from qexpmap.algebra_a import a_parse, agen, apq_presentation
-from qexpmap.algebra_u import u_parse, u_presentation, ugen
+from qexpmap import algebra_a, algebra_u, confluence, parser, rewrite
+from qexpmap.algebra_a import a_parse, agen, apq_presentation, coproduct
+from qexpmap.algebra_u import u_coproduct, u_parse, u_presentation, ugen
 from qexpmap.confluence import confluence_check
+from qexpmap.expmap import l_matrix
 from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
                              Presentation, RewriteError, tensor_square)
-from qexpmap.scalars import FracScalar
+from qexpmap.scalars import FracScalar, scalar_is_zero
 
 
 def rand_word(rng, pres, max_len):
@@ -84,9 +86,9 @@ class TestParser:
             validated.append(atoms)
             return validate(pres, atoms)
 
-        def counting_order(pres, terms, guard=None):
+        def counting_order(pres, terms):
             ordered.append(len(terms))
-            return normal_order_terms(pres, terms, guard)
+            return normal_order_terms(pres, terms)
 
         for module in (rewrite, parser):
             monkeypatch.setattr(module, "_validate_atoms", counting_validate,
@@ -265,8 +267,79 @@ class TestSerialization:
         x = a_parse("D^-1/2*a^2 + (q - p^-1)*b*c - 3*d")
         assert NCPoly.from_json(pres, x.to_json()) == x
 
+    @pytest.mark.parametrize("text", [
+        "f*k", "k*e", "f*k*e", "f^2*k^-1/2", "k^1/2*e^3", "f*k^-2*e",
+        "e*f", "f*e*k", "Q*k^3/2*e - f*k^-1/2", "k + f*e",
+    ])
+    def test_u_json_roundtrip(self, text):
+        # in U the scaling generator k sits between f and e
+        x = u_parse(text)
+        assert NCPoly.from_json(u_presentation(), x.to_json()) == x
+
+    def test_u_coproduct_and_l_matrix_json_roundtrip(self):
+        dx = u_coproduct(u_parse("f*k^1/2*e"))
+        t2 = tensor_square(u_presentation())
+        assert NCPoly.from_json(t2, dx.to_json()) == dx
+        for row in l_matrix("+", 1, "rational").rows:
+            for x in row:
+                assert NCPoly.from_json(u_presentation(), x.to_json()) == x
+
     def test_identity_residual(self):
         good = Identity("x", a_parse("a*b"), a_parse("q*b*a"))
         assert good.holds_exactly()
         bad = Identity("y", a_parse("a*b"), a_parse("b*a"))
         assert not bad.holds_exactly()
+
+
+class TestTermInvariant:
+    """Every term the engine derives keeps the invariant NCPoly's
+    constructor establishes for the terms it is given: a nonzero
+    coefficient and a tuple word without zero exponents.
+    normal_order_terms relies on it and re-checks neither."""
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        terms = []
+        apply_event = rewrite._apply_event
+
+        def recording(pres, coeff, atoms, event):
+            out = apply_event(pres, coeff, atoms, event)
+            terms.extend(out)
+            return out
+
+        monkeypatch.setattr(rewrite, "_apply_event", recording)
+        return terms
+
+    @staticmethod
+    def assert_invariant(terms):
+        bad = [(c, w) for c, w in terms
+               if scalar_is_zero(c) or type(w) is not tuple
+               or any(not e for _, e in w)]
+        assert terms and not bad
+
+    @pytest.mark.parametrize("pres", [apq_presentation(), u_presentation()],
+                             ids=["apq", "uq"])
+    def test_words_up_to_length_four(self, emitted, pres):
+        letters = confluence._letters(pres)
+        for length in range(1, 5):
+            for word in itertools.product(letters, repeat=length):
+                NCPoly(pres, [(1, word)])
+        self.assert_invariant(emitted)
+
+    @pytest.mark.parametrize("pres, delta", [
+        (apq_presentation(), coproduct), (u_presentation(), u_coproduct),
+    ], ids=["apq", "uq"])
+    def test_coproducts_of_words_up_to_length_two(self, emitted, pres,
+                                                   delta):
+        # the images are built once per process; forget them so that
+        # their products run through the engine here
+        for cache in (algebra_a._coproduct_atom, algebra_a._coproduct_images,
+                      algebra_u._u_coproduct_images):
+            cache.cache_clear()
+        # the coproduct is undefined on negative powers of a
+        letters = [(g, e) for g, e in confluence._letters(pres)
+                   if not (g == "a" and e < 0)]
+        for length in (1, 2):
+            for word in itertools.product(letters, repeat=length):
+                delta(NCPoly(pres, [(1, word)]))
+        self.assert_invariant(emitted)
