@@ -136,7 +136,9 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self - other).is_zero()
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise MatrixError("shape mismatch in eq")
+        return self.rows == other.rows
 
     __hash__ = None
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .matrices import Matrix
 from .rewrite import NCPoly
-from .scalars import eval_numeric, scalar_is_zero
+from .scalars import eval_points, scalar_is_zero
 
 
 class Identity:
@@ -17,29 +17,35 @@ class Identity:
         return self.lhs - self.rhs
 
     def holds_exactly(self) -> bool:
-        return scalar_is_zero(self.residual())
+        return self.lhs == self.rhs
 
     def numeric_close(self, points, tol: float):
         """The first of `points` at which lhs and rhs differ in a word's
         coefficient by more than tol times the largest coefficient of the
-        entry (or 1), else None."""
+        entry (or 1), else None.  Every coefficient is evaluated at all
+        points in one pass, so one that cannot be evaluated at some point
+        raises even when an earlier point already mismatched."""
         lhs, rhs = self.lhs, self.rhs
         entries = ([_aligned(lhs[i, j], rhs[i, j]) for i in range(lhs.nrows)
                     for j in range(lhs.ncols)]
                    if isinstance(lhs, Matrix) else [_aligned(lhs, rhs)])
-        for pt in points:
-            for coeffs, pairs in entries:
-                vals = [eval_numeric(c, pt) for c in coeffs] + [0.0]
+        zeros = [0.0] * len(points)
+        first = len(points)
+        for coeffs, pairs in entries:
+            columns = zip(*[eval_points(c, points) for c in coeffs], zeros)
+            for k, vals in zip(range(first), columns):
                 bound = tol * max([1.0] + [abs(v) for v in vals])
-                if any(abs(vals[i] - vals[k]) > bound for i, k in pairs):
-                    return pt
-        return None
+                if any(abs(vals[i] - vals[j]) > bound for i, j in pairs):
+                    first = k
+                    break
+        return points[first] if first < len(points) else None
 
 
 def _aligned(lhs, rhs):
     """An entry's coefficients, lhs then rhs in their own word order (so the
-    first one that cannot be evaluated raises), and per word the indices of
-    its lhs and rhs coefficient; -1 is the 0.0 of a side without the word."""
+    first one that cannot be evaluated at some point raises), and per word
+    the indices of its lhs and rhs coefficient; -1 is the 0.0 of a side
+    without the word."""
     lt = lhs.terms if isinstance(lhs, NCPoly) else {(): lhs}
     rt = rhs.terms if isinstance(rhs, NCPoly) else {(): rhs}
     left = {w: i for i, w in enumerate(lt)}

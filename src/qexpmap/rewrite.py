@@ -3,10 +3,12 @@
 A presentation fixes an ordered list of generators (ordinary, invertible
 or scaling), one swap rule per out-of-order adjacent pair of ordinary
 generators, and a commutation factor for each scaling/ordinary pair.
-Normal ordering rewrites any word into the PBW normal form, leftmost
-innermost, with immediate like-term collection.  Termination is enforced
-by a term-count guard rather than a proof; ``confluence_check`` validates
-order-independence empirically.
+Normal ordering rewrites any word into the PBW normal form, one step at
+a time at the leftmost reducible pair, depth first.  Like terms merge only
+when a term reaches a normal word (the result dict of
+``normal_order_terms``), so every rewrite path is walked on its own.
+Termination is enforced by a term-count guard rather than a proof;
+``confluence_check`` validates order-independence empirically.
 
 Every term the engine sees holds one invariant: a nonzero coefficient and
 a tuple word of atoms the presentation allows, none with a zero exponent.
@@ -371,11 +373,8 @@ class NCPoly:
         return NCPoly(self.pres, [(inv_c, inv_word)])
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except RewriteError:
-            return NotImplemented
-        return (self - other).is_zero()
+        # normal forms are equal when their words and coefficients are
+        return self.terms == self._coerce(other).terms
 
     __hash__ = None
 

@@ -9,8 +9,9 @@ Three layers, each closed under the operations the algebra engines need:
   ``Fraction`` (never one with denominator 1) only when it is not; almost
   every coefficient the constructions produce is an integer.
 * ``FracScalar``    -- the fraction field of HalfLaurent.  There is no
-  multivariate GCD; equality is decided by cross-multiplication, and a cheap
-  exact-division attempt keeps fractions from growing.
+  multivariate GCD; equality compares numerators over equal denominators and
+  is otherwise decided by cross-multiplication, and a cheap exact-division
+  attempt keeps fractions from growing.
 * ``RadScalar``     -- finite sums c * sqrt([n1]_Q ... [nk]_Q) with
   FracScalar coefficients.  Radicands are multisets of q-integer indices,
   which is closed under multiplication and has a canonical normal form.
@@ -277,11 +278,13 @@ class HalfLaurent(_Scalar):
                 terms.pop(key, None)
         return HalfLaurent(terms)
 
-    def eval_numeric(self, params: "NumericParams") -> float:
-        total = 0.0
+    def eval_points(self, points) -> list:
+        totals = [0.0] * len(points)
         for (u, v), c in self.terms.items():
-            total += float(c) * params.Q ** (u / 2.0) * params.lam ** (v / 2.0)
-        return total
+            c, u, v = float(c), u / 2.0, v / 2.0
+            totals = [t + c * p.Q ** u * p.lam ** v
+                      for t, p in zip(totals, points)]
+        return totals
 
     # -- serialization
 
@@ -353,10 +356,11 @@ def qfact(n: int) -> HalfLaurent:
 class FracScalar(_Scalar):
     """Element of the fraction field of HalfLaurent.
 
-    No canonical form is maintained: equality is decided by
-    cross-multiplication.  Construction attempts an exact division and
-    otherwise normalizes the denominator's leading term to 1, which is
-    enough to keep sizes stable in practice.
+    No canonical form is maintained: equality compares numerators when the
+    denominators are equal and is otherwise decided by cross-multiplication.
+    Construction attempts an exact division and otherwise normalizes the
+    denominator's leading term to 1, which is enough to keep sizes stable
+    in practice.
     """
 
     __slots__ = ("num", "den")
@@ -449,15 +453,18 @@ class FracScalar(_Scalar):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # no canonical form; unsafe to hash
 
-    def eval_numeric(self, params: "NumericParams") -> float:
-        d = self.den.eval_numeric(params)
-        if abs(d) < 1e-300:
-            raise EvalError(f"denominator {self.den} vanishes at {params}")
-        return self.num.eval_numeric(params) / d
+    def eval_points(self, points) -> list:
+        dens = self.den.eval_points(points)
+        for d, p in zip(dens, points):
+            if abs(d) < 1e-300:
+                raise EvalError(f"denominator {self.den} vanishes at {p}")
+        return [n / d for n, d in zip(self.num.eval_points(points), dens)]
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -565,22 +572,23 @@ class RadScalar(_Scalar):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        diff = self - other
-        return diff.is_zero()
+        # both are in normal form: one nonzero term per radicand, sorted
+        return self.terms == other.terms
 
     __hash__ = None
 
-    def eval_numeric(self, params: "NumericParams") -> float:
-        total = 0.0
+    def eval_points(self, points) -> list:
+        totals = [0.0] * len(points)
         for c, rad in self.terms:
-            val = c.eval_numeric(params)
+            vals = c.eval_points(points)
             for n in rad:
-                qn = _radicand(n).eval_numeric(params)
-                if qn < 0:
-                    raise EvalError(f"negative radicand [{n}] at {params}")
-                val *= math.sqrt(qn)
-            total += val
-        return total
+                for k, qn in enumerate(_radicand(n).eval_points(points)):
+                    if qn < 0:
+                        raise EvalError(
+                            f"negative radicand [{n}] at {points[k]}")
+                    vals[k] *= math.sqrt(qn)
+            totals = [t + v for t, v in zip(totals, vals)]
+        return totals
 
     def to_json(self):
         return [{"coeff": c.to_json(), "rad": list(r)} for c, r in self.terms]
@@ -621,11 +629,16 @@ class NumericParams:
         return f"NumericParams(p={self.p}, q={self.q})"
 
 
+def eval_points(x, points) -> list:
+    """Any scalar-tower value at each of points, in one pass over its terms."""
+    if isinstance(x, (int, Fraction)):
+        return [float(x)] * len(points)
+    return x.eval_points(points)
+
+
 def eval_numeric(x, params: NumericParams) -> float:
     """Evaluate any scalar-tower value at a numeric parameter point."""
-    if isinstance(x, (int, Fraction)):
-        return float(x)
-    return x.eval_numeric(params)
+    return eval_points(x, [params])[0]
 
 
 # ---------------------------------------------------------------------------

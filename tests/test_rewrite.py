@@ -16,6 +16,7 @@ from qexpmap.algebra_a import a_parse, agen, apq_presentation, coproduct
 from qexpmap.algebra_u import u_coproduct, u_parse, u_presentation, ugen
 from qexpmap.confluence import confluence_check
 from qexpmap.expmap import l_matrix
+from qexpmap.matrices import Matrix
 from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
                              Presentation, RewriteError, tensor_square)
@@ -289,6 +290,15 @@ class TestSerialization:
         assert good.holds_exactly()
         bad = Identity("y", a_parse("a*b"), a_parse("b*a"))
         assert not bad.holds_exactly()
+
+    def test_mixed_presentations_raise(self):
+        # an identity between two algebras is malformed, not a failed check
+        a, u = a_parse("a"), u_parse("e")
+        for lhs, rhs in ((a, u), (u, a), (Matrix([[a]]), Matrix([[u]]))):
+            with pytest.raises(RewriteError, match="different presentations"):
+                lhs == rhs
+            with pytest.raises(RewriteError, match="different presentations"):
+                Identity("x", lhs, rhs).holds_exactly()
 
 
 class TestTermInvariant:

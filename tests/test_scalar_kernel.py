@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qexpmap import matrices
+from qexpmap.algebra_a import a_parse
 from qexpmap.rewrite import NCPoly
 from qexpmap.scalars import (RANK, FracScalar, HalfLaurent, RadScalar,
-                             ScalarError, lift_scalar, scalar_to_json)
+                             ScalarError, lift_scalar, qint, scalar_is_zero,
+                             scalar_to_json)
 
 # Stored coefficients are int when integral and a Fraction with denominator
 # != 1 otherwise; values match Fraction-only dict arithmetic.
@@ -268,3 +270,66 @@ class TestPromotionOrder:
                 lifted = lift_scalar(x, cls)
                 assert type(lifted) is cls
                 assert lifted == x and x == lifted
+
+
+# sums of a few A words, with coefficients of every tower type below
+# RadScalar; words in normal order and out of it, so word sets overlap
+A_WORDS = [a_parse(w) for w in ("1", "a", "b", "c", "d", "b*c", "a*d",
+                                "d*a", "c*b*a")]
+a_polys = st.lists(
+    st.tuples(st.sampled_from(A_WORDS),
+              st.one_of(coeffs, laurents, fracscalars)),
+    max_size=4).map(lambda terms: sum((c * w for w, c in terms),
+                                      NCPoly.zero(A_WORDS[0].pres)))
+
+
+def assert_eq_is_zero_difference(x, y):
+    """== decides equality by comparing the two sides; its verdict is the
+    one of the difference's zero test, either way round."""
+    for a, b in ((x, y), (y, x)):
+        assert (a == b) == scalar_is_zero(a - b)
+
+
+class TestEqualityWithoutSubtraction:
+    @settings(deadline=None)
+    @given(fracscalars, term_dicts)
+    def test_fracscalars_with_equal_denominators(self, x, n):
+        # x's denominator is already monic, so the constructor keeps it
+        # unless n is a multiple of it
+        y = FracScalar(HalfLaurent(n), x.den)
+        assume(y.den == x.den)
+        assert_eq_is_zero_difference(x, y)
+        assert_eq_is_zero_difference(x, FracScalar(x.num, x.den))
+
+    @settings(deadline=None, max_examples=50)
+    @given(fracscalars, fracscalars, nonzero_dicts)
+    def test_fracscalars_with_unequal_denominators(self, x, y, m):
+        assert_eq_is_zero_difference(x, y)
+        # x's value, in another form
+        same = FracScalar(x.num * HalfLaurent(m), x.den * HalfLaurent(m))
+        assume(same.den != x.den)
+        assert x == same
+        assert_eq_is_zero_difference(x, same)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.integers(1, 4), max_size=3),
+           st.lists(st.integers(1, 4), max_size=3),
+           fracscalars, fracscalars, fracscalars)
+    def test_radscalars_with_shared_and_different_radicands(self, r1, r2,
+                                                            c1, c2, c3):
+        x = RadScalar([(c1, r1), (c2, r2)])
+        shared = RadScalar([(c3, r1), (c2, r2)])
+        # x again, with a square [3] pulled out of a radicand
+        same = RadScalar([(c2 / qint(3), r2 + [3, 3]), (c1, r1)])
+        different = RadScalar([(c1, r1 + [2]), (c2, r2 + [3])])
+        for y in (shared, same, different, x + c3):
+            assert_eq_is_zero_difference(x, y)
+        assert x == same
+
+    @settings(deadline=None, max_examples=50)
+    @given(a_polys, a_polys, a_polys)
+    def test_ncpolys_with_different_word_sets(self, x, y, z):
+        as_frac = x.map_coeffs(lambda c: lift_scalar(c, FracScalar))
+        for other in (y, x + z, x - z, as_frac):
+            assert_eq_is_zero_difference(x, other)
+        assert x == as_frac

@@ -1,6 +1,7 @@
 """The verifier builds each identity once, checks it exactly once, and
 re-checks the same objects numerically."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from qexpmap.algebra_a import a_parse
 from qexpmap.confluence import ConfluenceReport
 from qexpmap.matrices import Matrix
 from qexpmap.reporting import Identity
-from qexpmap.scalars import NumericParams, Q_pow, eval_numeric
+from qexpmap.rewrite import NCPoly
+from qexpmap.scalars import (FracScalar, HalfLaurent, NumericParams, Q_pow,
+                             RadScalar, eval_points, qint)
 
 
 def test_all_builds_and_checks_each_identity_once(monkeypatch):
@@ -132,6 +135,46 @@ def test_reports_default_to_fresh_lists():
     assert Identity("x", 1, 1).note == ""
 
 
+def _reference_value(x, point):
+    """x at one point, term by term in stored order, as the numeric check
+    is specified."""
+    if isinstance(x, (int, Fraction)):
+        return float(x)
+    if isinstance(x, HalfLaurent):
+        total = 0.0
+        for (u, v), c in x.terms.items():
+            total += float(c) * point.Q ** (u / 2) * point.lam ** (v / 2)
+        return total
+    if isinstance(x, FracScalar):
+        return _reference_value(x.num, point) / _reference_value(x.den, point)
+    total = 0.0
+    for c, rad in x.terms:
+        val = _reference_value(c, point)
+        for n in rad:
+            val *= math.sqrt(_reference_value(qint(n), point))
+        total += val
+    return total
+
+
+def test_eval_points_matches_a_per_point_reference():
+    points = suites.random_points(5)
+    coeffs = []
+    for suite in suites.IDENTITY_SUITES:
+        for _, _, idents in suites._BUILDERS[suite]({}):
+            for ident in idents:
+                for side in (ident.lhs, ident.rhs):
+                    entries = ([x for row in side.rows for x in row]
+                               if isinstance(side, Matrix) else [side])
+                    for x in entries:
+                        coeffs.extend(x.terms.values()
+                                      if isinstance(x, NCPoly) else [x])
+    assert {type(c) for c in coeffs} >= {int, HalfLaurent, FracScalar,
+                                         RadScalar}
+    for c in coeffs:
+        assert eval_points(c, points) == [_reference_value(c, pt)
+                                          for pt in points]
+
+
 class TestNumericClose:
     # Q^40 is about 8e15 at Q = 2.5, so 1 is below 1e-10 of the scale;
     # at Q = 1.2 it is about 1470, and 1 is not
@@ -172,19 +215,19 @@ class TestNumericClose:
             assert ident.numeric_close(points, 1e-10) is None
 
     def test_each_coefficient_evaluated_once_per_point(self, monkeypatch):
-        # the only mismatch is in the last entry, at the second point, so
-        # both points evaluate all ten coefficients and the third none
+        # the only mismatch is in the last entry, at the second point; each
+        # of the ten coefficients is evaluated once, at all three points
         m = [[a_parse("a + q*b"), a_parse("b")],
              [a_parse("c"), a_parse("d") * Q_pow(80)]]
         other = [m[0], [m[1][0], a_parse("d") * (Q_pow(80) + 1)]]
         points = self.POINTS + suites.random_points(1)
-        seen = Counter()
+        calls = []
 
-        def counting(x, point):
-            seen[point] += 1
-            return eval_numeric(x, point)
+        def counting(x, pts):
+            calls.append(pts)
+            return eval_points(x, pts)
 
-        monkeypatch.setattr(reporting, "eval_numeric", counting)
+        monkeypatch.setattr(reporting, "eval_points", counting)
         ident = Identity("x", Matrix(m), Matrix(other))
         assert ident.numeric_close(points, 1e-10) is points[1]
-        assert seen == {points[0]: 10, points[1]: 10}
+        assert calls == [points] * 10
