@@ -373,7 +373,7 @@ class NCPoly:
         return NCPoly(self.pres, [(inv_c, inv_word)])
 
     def __eq__(self, other):
-        # normal forms are equal when their words and coefficients are
+        # both are normal forms, so equal values have equal term dicts
         return self.terms == self._coerce(other).terms
 
     __hash__ = None
