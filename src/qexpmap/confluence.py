@@ -14,19 +14,13 @@ import itertools
 from fractions import Fraction
 
 from .rewrite import (GuardExceeded, NCPoly, Presentation, _apply_event,
-                      term_guard)
+                      _find_event, term_guard)
 
 
 def _events(pres, atoms):
     """All reducible positions in a word, not just the leftmost."""
-    out = []
-    for i in range(len(atoms) - 1):
-        g1, g2 = atoms[i][0], atoms[i + 1][0]
-        if g1 == g2:
-            out.append(("merge", i))
-        elif pres.order[g1] > pres.order[g2]:
-            out.append(("swap", i))
-    return out
+    return [i for i in range(len(atoms) - 1)
+            if _find_event(pres, atoms[i:i + 2]) is not None]
 
 
 class ConfluenceReport:
@@ -45,16 +39,12 @@ class ConfluenceReport:
 
 
 def _letters(pres):
-    letters = []
-    for g, kind in pres.generators:
-        if pres.is_scaling(g):
-            letters.append((g, Fraction(1, 2)))
-            letters.append((g, Fraction(-1, 2)))
-        else:
-            letters.append((g, 1))
-            if pres.is_invertible(g):
-                letters.append((g, -1))
-    return letters
+    """Each generator's unit power (half power for a scaling generator),
+    then its inverse if it has one."""
+    half = Fraction(1, 2)
+    return [(g, s * half if pres.is_scaling(g) else s)
+            for g, _ in pres.generators for s in (1, -1)
+            if s == 1 or pres.is_invertible(g)]
 
 
 def _tick(budget):
@@ -78,10 +68,10 @@ def _normal_forms(pres, atoms, memo, budget):
         memo[atoms] = [NCPoly._from_normal(pres, {atoms: 1})]
         return memo[atoms]
     forms = []
-    for ev in events:
+    for i in events:
         _tick(budget)
         choice_sets = [[f * c for f in _normal_forms(pres, w, memo, budget)]
-                       for c, w in _apply_event(pres, 1, atoms, ev)]
+                       for c, w in _apply_event(pres, 1, atoms, i)]
         for combo in itertools.product(*choice_sets):
             _tick(budget)
             total = sum(combo, NCPoly.zero(pres))

@@ -100,15 +100,10 @@ def _t_closed(j, z, norm) -> Matrix:
             mono = HalfLaurent.monomial(1, int(us), int(vs)) * head
             den = (qfact(int(j + k - s)) * qfact(int(m - k + s))
                    * qfact(s) * qfact(int(j - m - s)))
-            coeff = pref * FracScalar(mono, den)
-            word = []
-            if z != j:
-                word.append(("D", z - j))
-            for g, e in (("a", j + k - s), ("b", m - k + s),
-                         ("c", s), ("d", j - m - s)):
-                if e:
-                    word.append((g, e))
-            terms.append((coeff, tuple(word)))
+            # the constructor drops the zero powers
+            word = (("D", z - j), ("a", j + k - s), ("b", m - k + s),
+                    ("c", s), ("d", j - m - s))
+            terms.append((pref * FracScalar(mono, den), word))
         return NCPoly(pres, terms)
 
     return Matrix.build(len(mvals), len(mvals), entry)

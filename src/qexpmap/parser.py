@@ -162,7 +162,7 @@ class _Parser:
         if kind == "poly":
             return payload
         if kind == "gen":
-            return [(1, ((payload, Fraction(1)),))]
+            return [(1, ((payload, 1),))]
         return [(payload, ())]
 
     def atom(self):

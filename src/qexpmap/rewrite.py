@@ -11,11 +11,12 @@ Termination is enforced by a term-count guard rather than a proof;
 ``confluence_check`` validates order-independence empirically.
 
 Every term the engine sees holds one invariant: a nonzero coefficient and
-a tuple word of atoms the presentation allows, none with a zero exponent.
+a tuple word of atoms the presentation allows, none with a zero exponent
+and each exponent an ``int`` unless it is a half power (``scalars.rational``).
 NCPoly's constructor establishes it once, where terms come in from
 outside (``_validate_atoms``, then the merge of like terms).  Products of
-nonzero scalars are nonzero and ``_apply_event`` drops merged atoms whose
-exponents cancel, so arithmetic and rewriting keep it and nothing re-checks.
+nonzero scalars are nonzero and ``_apply_event`` merges exponents by the
+same rule, dropping those that cancel, so nothing re-checks.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import bisect
 import os
 from fractions import Fraction
 
-from .scalars import (FracScalar, HalfLaurent, lift_scalar, scalar_is_zero,
-                      scalar_to_json, scalar_from_json)
+from .scalars import (RANK, FracScalar, HalfLaurent, lift_scalar, rational,
+                      scalar_is_zero, scalar_to_json, scalar_from_json)
 
 ORDINARY = "ordinary"
 INVERTIBLE = "invertible"
@@ -144,23 +145,21 @@ def _invert(rule, z):
 
 
 def _find_event(pres, atoms):
-    """First reducible position: ('merge', i) or ('swap', i), else None."""
+    """First reducible position i (a merge or a swap of i, i + 1), else None."""
     for i in range(len(atoms) - 1):
         g1, g2 = atoms[i][0], atoms[i + 1][0]
-        if g1 == g2:
-            return ("merge", i)
-        if pres.order[g1] > pres.order[g2]:
-            return ("swap", i)
+        if g1 == g2 or pres.order[g1] > pres.order[g2]:
+            return i
     return None
 
 
-def _apply_event(pres, coeff, atoms, event):
-    """Expand one reduction step; returns a list of (coeff, atoms) terms."""
-    kind, i = event
+def _apply_event(pres, coeff, atoms, i):
+    """Expand the reduction step at position i: a merge when atoms i and
+    i + 1 share a generator, else a swap.  Returns (coeff, atoms) terms."""
     (g1, e1), (g2, e2) = atoms[i], atoms[i + 1]
-    if kind == "merge":
+    if g1 == g2:
         e = e1 + e2
-        mid = ((g1, e),) if e else ()
+        mid = ((g1, rational(e)),) if e else ()
         return [(coeff, atoms[:i] + mid + atoms[i + 2:])]
 
     s1_scal, s2_scal = pres.is_scaling(g1), pres.is_scaling(g2)
@@ -200,27 +199,33 @@ def normal_order_terms(pres, terms):
         if seen > guard:
             raise GuardExceeded(
                 f"normal ordering exceeded {guard} intermediate terms")
-        event = _find_event(pres, atoms)
-        if event is None:
-            acc = result.get(atoms)
-            acc = coeff if acc is None else acc + coeff
-            if scalar_is_zero(acc):
-                result.pop(atoms, None)
-            else:
-                result[atoms] = acc
-            continue
-        stack.extend(_apply_event(pres, coeff, atoms, event))
+        i = _find_event(pres, atoms)
+        if i is None:
+            _add_term(result, atoms, coeff)
+        else:
+            stack.extend(_apply_event(pres, coeff, atoms, i))
     return result
 
 
+def _add_term(terms, word, c):
+    """terms[word] += c, where a missing word is 0 and a zero sum drops it."""
+    acc = terms.get(word)
+    if acc is not None:
+        c = acc + c
+    if scalar_is_zero(c):
+        terms.pop(word, None)
+    else:
+        terms[word] = c
+
+
 def _validate_atoms(pres, atoms):
-    """The atoms with Fraction exponents and without zero powers, once each
-    is one the presentation allows; RewriteError otherwise."""
+    """The atoms without zero powers, exponents by scalars.rational, once
+    each is one the presentation allows; RewriteError otherwise."""
     out = []
     for g, e in atoms:
         if g not in pres.order:
             raise RewriteError(f"unknown generator {g!r}")
-        e = Fraction(e)
+        e = rational(e)
         if pres.is_scaling(g):
             if (2 * e).denominator != 1:
                 raise RewriteError(f"exponent {e} of scaling {g} not in (1/2)Z")
@@ -244,7 +249,8 @@ def _word_sort_key(pres, word):
 class NCPoly:
     """Finite scalar-weighted sum of words over a presented algebra.
 
-    Words are tuples of (generator, exponent).  The terms are always in PBW
+    Words are tuples of (generator, exponent), each exponent an int unless
+    it is a half power of a scaling generator.  The terms are always in PBW
     normal form, a dict from normal word to nonzero coefficient: the
     constructor validates each raw (coeff, atoms) term, merges like terms
     and normal-orders the sum once, and arithmetic relies on that.
@@ -255,13 +261,7 @@ class NCPoly:
     def __init__(self, pres, terms):
         merged = {}
         for c, atoms in terms:
-            atoms = _validate_atoms(pres, atoms)
-            acc = merged.get(atoms)
-            acc = c if acc is None else acc + c
-            if scalar_is_zero(acc):
-                merged.pop(atoms, None)
-            else:
-                merged[atoms] = acc
+            _add_term(merged, _validate_atoms(pres, atoms), c)
         self.pres = pres
         self.terms = normal_order_terms(
             pres, [(c, w) for w, c in merged.items()])
@@ -290,7 +290,7 @@ class NCPoly:
 
     @staticmethod
     def gen(pres, name, exp=1) -> "NCPoly":
-        return NCPoly(pres, [(1, ((name, Fraction(exp)),))])
+        return NCPoly(pres, [(1, ((name, exp),))])
 
     # -- predicates
 
@@ -300,22 +300,22 @@ class NCPoly:
     # -- arithmetic
 
     def _coerce(self, other):
+        """other as a polynomial of this presentation, None outside the tower."""
         if isinstance(other, NCPoly):
             if other.pres is not self.pres:
                 raise RewriteError("mixing polynomials of different presentations")
             return other
+        if type(other) not in RANK:
+            return None
         return NCPoly.scalar(self.pres, other)
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            acc = terms.get(w)
-            acc = c if acc is None else acc + c
-            if scalar_is_zero(acc):
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
+            _add_term(terms, w, c)
         return NCPoly._from_normal(self.pres, terms)
 
     __radd__ = __add__
@@ -325,13 +325,15 @@ class NCPoly:
             self.pres, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         raw = [(c1 * c2, w1 + w2) for w1, c1 in self.terms.items()
                for w2, c2 in other.terms.items()]
         if self.terms.keys() <= {()} or other.terms.keys() <= {()}:
@@ -363,18 +365,15 @@ class NCPoly:
         if len(self.terms) != 1:
             raise RewriteError("can only invert monomial elements")
         (word, coeff), = self.terms.items()
-        if isinstance(coeff, (int, Fraction)):
-            inv_c = Fraction(1, coeff)
-            if inv_c.denominator == 1:
-                inv_c = inv_c.numerator
-        else:
-            inv_c = coeff.inverse()
+        inv_c = (rational(Fraction(1, coeff))
+                 if isinstance(coeff, (int, Fraction)) else coeff.inverse())
         inv_word = tuple((g, -e) for g, e in reversed(word))
         return NCPoly(self.pres, [(inv_c, inv_word)])
 
     def __eq__(self, other):
+        other = self._coerce(other)
         # both are normal forms, so equal values have equal term dicts
-        return self.terms == self._coerce(other).terms
+        return NotImplemented if other is None else self.terms == other.terms
 
     __hash__ = None
 
@@ -392,15 +391,13 @@ class NCPoly:
         out = []
         for word in sorted(self.terms, key=lambda w: _word_sort_key(self.pres, w)):
             coeff = self.terms[word]
-            dpow = Fraction(0)
+            dpow = 0
             body = []
             for g, e in word:
                 if scal_gens and g == scal_gens[0]:
                     dpow = e
                 else:
-                    e = Fraction(e)
-                    body.append([g, int(e) if e.denominator == 1
-                                 else f"{e.numerator}/{e.denominator}"])
+                    body.append([g, e if type(e) is int else str(e)])
             out.append({"dpow": f"{dpow.numerator}/{dpow.denominator}",
                         "word": body,
                         "coeff": scalar_to_json(coeff)})
@@ -412,7 +409,7 @@ class NCPoly:
         scal_gens = [g for g, k in pres.generators if k == SCALING]
         raw = []
         for t in data:
-            atoms = [(g, Fraction(e)) for g, e in t["word"]]
+            atoms = [(g, e) for g, e in t["word"]]
             dpow = Fraction(t.get("dpow", "0/1"))
             if dpow and scal_gens:
                 bisect.insort(atoms, (scal_gens[0], dpow),

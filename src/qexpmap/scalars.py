@@ -7,7 +7,8 @@ Three layers, each closed under the operations the algebra engines need:
   so every exponent occurring in the T/L/R matrices is exactly representable.
   A coefficient is stored as an ``int`` when it is integral and as a
   ``Fraction`` (never one with denominator 1) only when it is not; almost
-  every coefficient the constructions produce is an integer.
+  every coefficient the constructions produce is an integer.  ``rational``
+  is that rule, and the rewrite engine applies it to word exponents too.
 * ``FracScalar``    -- the fraction field of HalfLaurent.  There is no
   multivariate GCD; equality compares numerators over equal denominators and
   is otherwise decided by cross-multiplication, and a cheap exact-division
@@ -95,6 +96,15 @@ class _Scalar:
 # HalfLaurent
 
 
+def rational(x):
+    """The rational x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _div(a, b):
     """Exact quotient of two rational coefficients, never a float; an int
     when both are ints and the division is exact."""
@@ -122,10 +132,7 @@ class HalfLaurent(_Scalar):
         if terms:
             for key, c in terms.items():
                 if type(c) is not int:
-                    if not isinstance(c, Fraction):
-                        c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
+                    c = rational(c)
                 if c:
                     clean[key] = c
         object.__setattr__(self, "terms", clean)

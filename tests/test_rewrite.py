@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -19,7 +20,8 @@ from qexpmap.expmap import l_matrix
 from qexpmap.matrices import Matrix
 from qexpmap.reporting import Identity
 from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
-                             Presentation, RewriteError, tensor_square)
+                             Presentation, RewriteError, split_legs, tensor,
+                             tensor_square)
 from qexpmap.scalars import FracScalar, scalar_is_zero
 
 
@@ -53,6 +55,28 @@ class TestParser:
             a_parse("a*)b")
         with pytest.raises(ParseError):
             a_parse("a**b")
+
+    @pytest.mark.parametrize("parse, text, want", [
+        (a_parse, "-a + b", agen("b") - agen("a")),
+        (u_parse, "lambda^3*e", ugen("e")),     # lambda is 1 in U
+        (a_parse, "b $ a", 2),                  # unexpected character
+        (a_parse, "b^a", 2),                    # exponent is not a number
+        (a_parse, "b a", 2),                    # trailing token
+        (a_parse, "b*a^1/2", 2),                # half power of non-scaling a
+        (a_parse, "b*D^1/3", 2),                # scaling power not in Z/2
+        (a_parse, "b*Q^1/3", 2),                # not a half power of Q
+        (a_parse, "b*(a+b)^1/2", 2),            # non-integral power of a sum
+        (a_parse, "b*x", 2),                    # unknown name
+    ])
+    def test_input_checks(self, parse, text, want):
+        # a valid form gives its value; a bad one names the offending offset
+        if isinstance(want, NCPoly):
+            assert parse(text) == want
+            return
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.pos == want
+        assert str(err.value).endswith(f"(at offset {want})")
 
     def test_invalid_term_rejected_even_when_it_cancels(self):
         with pytest.raises(RewriteError, match="non-invertible b"):
@@ -155,6 +179,19 @@ class TestNormalOrder:
             (c,) = x.invert().terms.values()
             assert c == want and type(c) is type(want)
 
+    def test_invert_non_rational_coefficient(self):
+        assert a_parse("Q*a") ** -1 == a_parse("Q^-1*a^-1")
+
+    @pytest.mark.parametrize("other", [None, "a", 1.5])
+    def test_non_tower_operands(self, other):
+        x = a_parse("a")
+        assert not x == other and not other == x and x != other
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
     def test_non_integral_power_rejected(self):
         for x, n in ((agen("a"), Fraction(3, 2)), (agen("b"), Fraction(-1, 2)),
                      (agen("D", Fraction(1, 2)), Fraction(1, 2))):
@@ -189,6 +226,21 @@ class TestTensor:
             square = tensor_square(
                 Presentation(f"p{i}", [("x", ORDINARY)], {}))
             assert square.name == f"p{i}^x2"
+
+    def test_split_legs_inverts_tensor(self):
+        # every word of the coproduct of an A word up to length 2 splits
+        # into legs whose tensor product is that word
+        pres = apq_presentation()
+        t2 = tensor_square(pres)
+        letters = [(g, e) for g, e in confluence._letters(pres)
+                   if not (g == "a" and e < 0)]
+        for length in range(3):
+            for word in itertools.product(letters, repeat=length):
+                for w in coproduct(NCPoly(pres, [(1, word)])).terms:
+                    l1, l2 = split_legs(w, 2)
+                    x = tensor(NCPoly(pres, [(1, l1)]),
+                               NCPoly(pres, [(1, l2)]), t2)
+                    assert x.terms == {w: 1}, w
 
     def test_per_leg_rules(self):
         pres = apq_presentation()
@@ -297,6 +349,10 @@ class TestSerialization:
         for lhs, rhs in ((a, u), (u, a), (Matrix([[a]]), Matrix([[u]]))):
             with pytest.raises(RewriteError, match="different presentations"):
                 lhs == rhs
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(RewriteError,
+                                   match="different presentations"):
+                    op(lhs, rhs)
             with pytest.raises(RewriteError, match="different presentations"):
                 Identity("x", lhs, rhs).holds_exactly()
 
@@ -304,8 +360,9 @@ class TestSerialization:
 class TestTermInvariant:
     """Every term the engine derives keeps the invariant NCPoly's
     constructor establishes for the terms it is given: a nonzero
-    coefficient and a tuple word without zero exponents.
-    normal_order_terms relies on it and re-checks neither."""
+    coefficient and a tuple word without zero exponents, each exponent an
+    int unless it is a half power.  normal_order_terms relies on it and
+    re-checks none of it."""
 
     @pytest.fixture
     def emitted(self, monkeypatch):
@@ -324,7 +381,8 @@ class TestTermInvariant:
     def assert_invariant(terms):
         bad = [(c, w) for c, w in terms
                if scalar_is_zero(c) or type(w) is not tuple
-               or any(not e for _, e in w)]
+               or any(not e or type(e) is not int and e.denominator != 2
+                      for _, e in w)]
         assert terms and not bad
 
     @pytest.mark.parametrize("pres", [apq_presentation(), u_presentation()],

@@ -19,9 +19,9 @@ def without_swaps(monkeypatch, build, *args):
     find_event = rewrite._find_event
 
     def merges_only(pres, atoms):
-        event = find_event(pres, atoms)
-        assert event is None or event[0] == "merge", atoms
-        return event
+        i = find_event(pres, atoms)
+        assert i is None or atoms[i][0] == atoms[i + 1][0], atoms
+        return i
 
     with monkeypatch.context() as patch:
         patch.setattr(rewrite, "_find_event", merges_only)

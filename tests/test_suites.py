@@ -92,6 +92,30 @@ class _Reads(dict):
         return super().get(key, default)
 
 
+def test_wrong_exact_verdict_is_caught_numerically(bogus, monkeypatch):
+    monkeypatch.setattr(Identity, "holds_exactly", lambda self: True)
+    (numeric,) = suites.run_suite("specialize")
+    first = suites.random_points(suites.SPECIALIZE_POINTS)[0]
+    assert not numeric.passed
+    assert numeric.residuals == [{
+        "identity": "Q=Q^-1",
+        "residual": f"numeric mismatch at NumericParams(p={first.p}, "
+                    f"q={first.q})"}]
+
+
+@pytest.mark.parametrize("lhs, residual", [
+    ([[1, 0], [0, 2]], "(0,0)=1; (1,1)=2"),
+    ([[1, 0, 2, 3], [0, 4, 5, 6], [7, 8, 9, 10]],
+     "(0,0)=1; (0,2)=2; (0,3)=3; (1,1)=4; (1,2)=5; (1,3)=6; (2,0)=7; "
+     "(2,1)=8..."),
+])
+def test_matrix_residual_lists_nonzero_cells(lhs, residual):
+    zero = Matrix([[0] * len(lhs[0]) for _ in lhs])
+    result = reporting.run_identities(
+        "m", {}, [Identity("m", Matrix(lhs), zero)], [False])
+    assert result.residuals == [{"identity": "m", "residual": residual}]
+
+
 def test_max_j_suites_are_those_that_read_it():
     # every builder reads its options before it builds its first check
     readers = set()
