@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rewrite import (GuardExceeded, NCPoly, ParseError, Presentation, SCALING,
-                      term_guard)
-from .scalars import HalfLaurent
+from .rewrite import (GuardExceeded, NCPoly, ParseError, Presentation,
+                      RewriteError, _exponent, term_guard)
+from .scalars import (HalfLaurent, Q_pow, lam_pow, p_pow, q_pow,
+                      scalar_lambda_one)
 
 
 def _tokenize(text):
@@ -127,14 +128,11 @@ class _Parser:
         exp = self.rational()
         kind, payload = base
         if kind == "gen":
-            name = payload
-            if self.pres.kind[name] != SCALING and exp.denominator != 1:
-                raise ParseError(
-                    f"fractional power of non-scaling generator {name}", start[2])
-            if self.pres.kind[name] == SCALING and (2 * exp).denominator != 1:
-                raise ParseError(
-                    f"scaling exponent {exp} is not a half-integer", start[2])
-            return [(1, ((name, exp),))]
+            try:
+                exp = _exponent(self.pres, payload, exp)
+            except RewriteError as exc:
+                raise ParseError(str(exc), start[2]) from None
+            return [(1, ((payload, exp),))]
         if kind == "scalar":
             mono = payload
             if mono.is_one():
@@ -187,15 +185,11 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
     def _scalar_table(self):
+        table = {"Q": Q_pow(2), "lambda": lam_pow(2),
+                 "p": p_pow(), "q": q_pow()}
         if self.pres.lambda_one:
-            return {"Q": HalfLaurent.monomial(1, 2, 0),
-                    "lambda": HalfLaurent.one(),
-                    "p": HalfLaurent.monomial(1, 2, 0),
-                    "q": HalfLaurent.monomial(1, 2, 0)}
-        return {"Q": HalfLaurent.monomial(1, 2, 0),
-                "lambda": HalfLaurent.monomial(1, 0, 2),
-                "p": HalfLaurent.monomial(1, 2, 2),
-                "q": HalfLaurent.monomial(1, 2, -2)}
+            return {name: scalar_lambda_one(x) for name, x in table.items()}
+        return table
 
     def rational(self) -> Fraction:
         sign = 1

@@ -218,20 +218,27 @@ def _add_term(terms, word, c):
         terms[word] = c
 
 
+def _exponent(pres, g, e):
+    """e by scalars.rational, once g is a generator of pres that may take
+    the power e up to its sign; RewriteError otherwise."""
+    if g not in pres.order:
+        raise RewriteError(f"unknown generator {g!r}")
+    e = rational(e)
+    if pres.is_scaling(g):
+        if (2 * e).denominator != 1:
+            raise RewriteError(f"exponent {e} of scaling {g} not in (1/2)Z")
+    elif e.denominator != 1:
+        raise RewriteError(f"fractional power of non-scaling generator {g}")
+    return e
+
+
 def _validate_atoms(pres, atoms):
-    """The atoms without zero powers, exponents by scalars.rational, once
-    each is one the presentation allows; RewriteError otherwise."""
+    """The atoms without zero powers, exponents by _exponent, once each is
+    one the presentation allows; RewriteError otherwise."""
     out = []
     for g, e in atoms:
-        if g not in pres.order:
-            raise RewriteError(f"unknown generator {g!r}")
-        e = rational(e)
-        if pres.is_scaling(g):
-            if (2 * e).denominator != 1:
-                raise RewriteError(f"exponent {e} of scaling {g} not in (1/2)Z")
-        elif e.denominator != 1:
-            raise RewriteError(f"fractional power of non-scaling generator {g}")
-        elif e < 0 and not pres.is_invertible(g):
+        e = _exponent(pres, g, e)
+        if e < 0 and not pres.is_invertible(g):
             raise RewriteError(f"negative power of non-invertible {g}")
         if e:
             out.append((g, e))

@@ -21,7 +21,9 @@ With ``int`` and ``Fraction`` they form one tower, in the promotion order
 int < Fraction < HalfLaurent < FracScalar < RadScalar.  ``RANK`` is the one
 place that order is written: ``+ - * /`` and ``==`` on two tower values lift
 the lower-ranked operand with ``lift_scalar`` and give the type of the
-higher-ranked one.  ``_Scalar`` holds the plumbing the three classes share.
+higher-ranked one.  ``_Scalar`` holds what the three classes share: that
+coercion, ``zero()`` and ``one()`` (0 and 1 lifted to the class), powers by
+repeated squaring, and display.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class EvalError(ScalarError):
 
 class _Scalar:
     """What the three tower classes share: coercion by RANK, the operators
-    derived from +, *, negation and inverse(), powers, and display."""
+    derived from +, *, negation and inverse(), 0, 1, powers and display."""
 
     __slots__ = ()
 
@@ -75,13 +77,26 @@ class _Scalar:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
+    @classmethod
+    def zero(cls):
+        return lift_scalar(0, cls)
+
+    @classmethod
+    def one(cls):
+        return lift_scalar(1, cls)
+
     def __pow__(self, n: int):
+        """self ** n by repeated squaring; a negative n inverts first."""
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.one()
-        for _ in range(n):
-            result = result * self
+        result, base = self.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __repr__(self):
@@ -121,8 +136,10 @@ class HalfLaurent(_Scalar):
     ``terms`` maps an exponent pair ``(u, v)`` to a nonzero rational
     coefficient: an ``int`` when it is integral, else a ``Fraction`` whose
     denominator is not 1.  The pair denotes the monomial
-    Q^(u/2) * lambda^(v/2).  The constructor enforces this, so arithmetic may
-    hand it any mix of ``int`` and ``Fraction``.
+    Q^(u/2) * lambda^(v/2).  The constructor enforces this and is the one
+    place zero coefficients are dropped, so arithmetic hands it its raw
+    sums: any mix of ``int`` and ``Fraction``, zeros included.  A constant
+    hashes as its ``int`` or ``Fraction`` value, which it equals.
     """
 
     __slots__ = ("terms",)
@@ -147,14 +164,6 @@ class HalfLaurent(_Scalar):
     def monomial(coeff, qhalf: int, lhalf: int) -> "HalfLaurent":
         return HalfLaurent({(int(qhalf), int(lhalf)): coeff})
 
-    @staticmethod
-    def zero() -> "HalfLaurent":
-        return HalfLaurent()
-
-    @staticmethod
-    def one() -> "HalfLaurent":
-        return HalfLaurent.const(1)
-
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -174,11 +183,7 @@ class HalfLaurent(_Scalar):
             return NotImplemented
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            nc = terms.get(key, 0) + c
-            if nc:
-                terms[key] = nc
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + c
         return HalfLaurent(terms)
 
     __radd__ = __add__
@@ -194,27 +199,10 @@ class HalfLaurent(_Scalar):
         for (u1, v1), c1 in self.terms.items():
             for (u2, v2), c2 in other.terms.items():
                 key = (u1 + u2, v1 + v2)
-                nc = terms.get(key, 0) + c1 * c2
-                if nc:
-                    terms[key] = nc
-                else:
-                    terms.pop(key, None)
+                terms[key] = terms.get(key, 0) + c1 * c2
         return HalfLaurent(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        n = int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = HalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self) -> "HalfLaurent":
         if not self.is_monomial():
@@ -229,6 +217,8 @@ class HalfLaurent(_Scalar):
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     # -- division
@@ -277,12 +267,7 @@ class HalfLaurent(_Scalar):
     def subs_lambda_one(self) -> "HalfLaurent":
         terms = {}
         for (u, v), c in self.terms.items():
-            key = (u, 0)
-            nc = terms.get(key, 0) + c
-            if nc:
-                terms[key] = nc
-            else:
-                terms.pop(key, None)
+            terms[(u, 0)] = terms.get((u, 0), 0) + c
         return HalfLaurent(terms)
 
     def eval_points(self, points) -> list:
@@ -372,10 +357,9 @@ class FracScalar(_Scalar):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=1):
         num = lift_scalar(num, HalfLaurent)
-        den = HalfLaurent.one() if den is None \
-            else lift_scalar(den, HalfLaurent)
+        den = lift_scalar(den, HalfLaurent)
         if den.is_zero():
             raise ZeroDivisionError("FracScalar with zero denominator")
         if num.is_zero():
@@ -391,14 +375,6 @@ class FracScalar(_Scalar):
                 num, den = num * scale, den * scale
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def zero() -> "FracScalar":
-        return FracScalar(HalfLaurent.zero())
-
-    @staticmethod
-    def one() -> "FracScalar":
-        return FracScalar(HalfLaurent.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -467,11 +443,14 @@ class FracScalar(_Scalar):
     __hash__ = None  # no canonical form; unsafe to hash
 
     def eval_points(self, points) -> list:
+        nums = self.num.eval_points(points)
+        if self.den.is_one():
+            return nums
         dens = self.den.eval_points(points)
         for d, p in zip(dens, points):
             if abs(d) < 1e-300:
                 raise EvalError(f"denominator {self.den} vanishes at {p}")
-        return [n / d for n, d in zip(self.num.eval_points(points), dens)]
+        return [n / d for n, d in zip(nums, dens)]
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -515,8 +494,6 @@ class RadScalar(_Scalar):
                     coeff = coeff * FracScalar(qint(n)) ** pairs
                 if odd:
                     newrad.append(n)
-            if coeff.is_zero():
-                continue
             key = tuple(newrad)
             if key in bucket:
                 bucket[key] = bucket[key] + coeff
@@ -525,14 +502,6 @@ class RadScalar(_Scalar):
         object.__setattr__(
             self, "terms",
             tuple((c, k) for k, c in sorted(bucket.items()) if not c.is_zero()))
-
-    @staticmethod
-    def zero() -> "RadScalar":
-        return RadScalar()
-
-    @staticmethod
-    def one() -> "RadScalar":
-        return RadScalar([(FracScalar.one(), ())])
 
     @staticmethod
     def sqrt_qints(indices, coeff=1) -> "RadScalar":

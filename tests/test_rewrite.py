@@ -78,6 +78,14 @@ class TestParser:
         assert err.value.pos == want
         assert str(err.value).endswith(f"(at offset {want})")
 
+    def test_exponent_rule_is_the_constructors(self):
+        # the parser reports the constructor's exponent error at the atom
+        with pytest.raises(RewriteError) as direct:
+            agen("D", Fraction(1, 3))
+        with pytest.raises(ParseError) as parsed:
+            a_parse("b*D^1/3")
+        assert str(parsed.value) == f"{direct.value} (at offset 2)"
+
     def test_invalid_term_rejected_even_when_it_cancels(self):
         with pytest.raises(RewriteError, match="non-invertible b"):
             a_parse("b^-1 - b^-1")

@@ -146,6 +146,34 @@ class TestIntegerCoefficientKernel:
         assert hash(x) == hash(y)
         assert x.terms == y.terms
         assert all(type(v) is int for v in y.terms.values())
+        # a constant, zero included, equals and hashes as its rational value
+        for r in (c, Fraction(c, 7)):
+            const = HalfLaurent.const(r)
+            assert const == r
+            assert hash(const) == hash(r)
+            assert len({r, const}) == 1
+        assert hash(HalfLaurent()) == hash(0)
+
+    @pytest.mark.parametrize("got, want", [
+        # + cancels the Q^1 lambda^1 term and leaves two integral Fractions
+        (HalfLaurent({(0, 0): Fraction(1, 2), (2, 2): 3,
+                      (2, -2): Fraction(1, 3)})
+         + HalfLaurent({(0, 0): Fraction(1, 2), (2, 2): -3,
+                        (2, -2): Fraction(2, 3)}),
+         {(0, 0): 1, (2, -2): 1}),
+        # (Q - Q^-1)/2 * 2(Q + Q^-1): the Q^0 terms cancel
+        (HalfLaurent({(2, 0): Fraction(1, 2), (-2, 0): Fraction(-1, 2)})
+         * HalfLaurent({(2, 0): 2, (-2, 0): 2}),
+         {(4, 0): 1, (-4, 0): -1}),
+        # at lambda = 1 the Q^1 terms cancel and the Q^0 ones sum to 2
+        (HalfLaurent({(2, 2): Fraction(1, 2), (2, -2): Fraction(-1, 2),
+                      (0, 2): Fraction(3, 2), (0, -2): Fraction(1, 2)})
+         .subs_lambda_one(),
+         {(0, 0): 2}),
+    ])
+    def test_cancelling_ops_store_canonical_terms(self, got, want):
+        assert_canonical(got)
+        assert got.terms == want
 
 
 def full_add(x, y):

@@ -217,3 +217,42 @@ def test_fracscalar_denominator_made_monic(c):
     assert x.den.terms == {(0, 0): 1, (-4, 0): 1}
     assert x.num.terms == {(-4, 0): Fraction(1, c)}
     assert type(x.num.terms[(-4, 0)]) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# 0, 1 and powers, which the three tower classes share
+
+
+@pytest.mark.parametrize("cls", [HalfLaurent, FracScalar, RadScalar])
+def test_zero_and_one_have_the_class(cls):
+    zero, one = cls.zero(), cls.one()
+    assert type(zero) is cls and type(one) is cls
+    assert zero == 0 and zero.is_zero()
+    assert one == 1 and not one.is_zero()
+
+
+@pytest.mark.parametrize("x", [
+    HalfLaurent({(1, 2): 3, (-2, 0): Fraction(1, 2), (0, 0): -1}),
+    FracScalar(qint(3) + Q_pow(1)),                 # denominator 1
+    RadScalar.sqrt_qints([2, 3], qint(2)) + RadScalar.sqrt_qints([5], 2),
+])
+def test_power_is_the_repeated_product(x):
+    prod = type(x).one()
+    for n in range(7):
+        assert x ** n == prod
+        assert scalar_to_json(x ** n) == scalar_to_json(prod)
+        prod = prod * x
+
+
+@pytest.mark.parametrize("x", [
+    HalfLaurent({(3, -1): Fraction(2, 3)}),
+    -2 * Q_pow(1),
+    FracScalar(3 * Q_pow(1)),       # its inverse has denominator 1 too
+])
+def test_negative_power_of_a_monomial(x):
+    inv, prod = x.inverse(), type(x).one()
+    for n in range(7):
+        assert x ** -n == prod
+        assert scalar_to_json(x ** -n) == scalar_to_json(prod)
+        assert x ** -n * x ** n == 1
+        prod = prod * inv
