@@ -28,19 +28,17 @@ def apq_presentation() -> Presentation:
         ("d", "b"): (FracScalar(p_pow(-1)), ()),
         ("d", "c"): (FracScalar(q_pow(-1)), ()),
         ("d", "a"): (one, ((-xi, (("b", 1), ("c", 1))),)),
-    }
-    scaling = {
-        ("D", "a"): HalfLaurent.one(),
-        ("D", "b"): lam_pow(-2),
-        ("D", "c"): lam_pow(2),
-        ("D", "d"): HalfLaurent.one(),
+        # D^(1/2) b = lambda^-1 b D^(1/2) and D^(1/2) c = lambda c D^(1/2)
+        ("a", "D"): (HalfLaurent.one(), ()),
+        ("b", "D"): (lam_pow(2), ()),
+        ("c", "D"): (lam_pow(-2), ()),
+        ("d", "D"): (HalfLaurent.one(), ()),
     }
     return Presentation(
         name="apq",
         generators=(("D", SCALING), ("a", INVERTIBLE), ("b", ORDINARY),
                     ("c", ORDINARY), ("d", ORDINARY)),
         rules=rules,
-        scaling=scaling,
     )
 
 

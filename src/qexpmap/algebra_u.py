@@ -30,16 +30,13 @@ def u_presentation() -> Presentation:
     pos = FracScalar(HalfLaurent.one(), denom)
     rules = {
         ("e", "f"): (one, ((pos, (("k", 2),)), (-pos, (("k", -2),)))),
-    }
-    scaling = {
-        ("k", "e"): Q_pow(1),   # k^(1/2) e = Q^(1/2) e k^(1/2)
-        ("k", "f"): Q_pow(-1),
+        ("k", "f"): (Q_pow(-1), ()),    # k^(1/2) f = Q^(-1/2) f k^(1/2)
+        ("e", "k"): (Q_pow(-1), ()),    # e k^(1/2) = Q^(-1/2) k^(1/2) e
     }
     return Presentation(
         name="uq",
         generators=(("f", ORDINARY), ("k", SCALING), ("e", ORDINARY)),
         rules=rules,
-        scaling=scaling,
         lambda_one=True,
     )
 

@@ -1,11 +1,16 @@
 """Noncommutative normal-ordering engine over a presented algebra.
 
 A presentation fixes an ordered list of generators (ordinary, invertible
-or scaling), one swap rule per out-of-order adjacent pair of ordinary
-generators, and a commutation factor for each scaling/ordinary pair.
-Normal ordering rewrites any word into the PBW normal form, one step at
-a time at the leftmost reducible pair, depth first.  Like terms merge only
-when a term reaches a normal word (the result dict of
+or scaling) and one swap rule hi*lo -> kappa*lo*hi + correction for each
+pair out of normal order, a scaling generator's letter being its half
+power.  Normal ordering rewrites any word into the PBW normal form, one
+step at a time at the leftmost reducible pair, depth first.  A pair whose
+rule has no correction swaps whole runs: g1^e1 g2^e2, runs of m and n
+letters (m = e1, or 2*e1 for a scaling g1), is m*n swaps of one letter
+past another, each multiplying by kappa (kappa^-1 for an inverse letter,
+as the signs of m and n count), so one step gives kappa^(m*n) g2^e2 g1^e1.
+Only a pair with a correction peels one letter off each run.  Like terms
+merge only when a term reaches a normal word (the result dict of
 ``normal_order_terms``), so every rewrite path is walked on its own.
 Termination is enforced by a term-count guard rather than a proof;
 ``confluence_check`` validates order-independence empirically.
@@ -22,6 +27,7 @@ same rule, dropping those that cancel, so nothing re-checks.
 from __future__ import annotations
 
 import bisect
+import itertools
 import os
 from fractions import Fraction
 
@@ -73,38 +79,38 @@ class ParseError(UsageError):
 
 
 class Presentation:
-    """Ordered generators + swap rules + scaling commutation factors.
+    """Ordered generators + one swap rule per out-of-order pair.
 
-    rules maps (hi, lo) -> (kappa, correction) encoding hi*lo ->
-    kappa*lo*hi + correction, correction a tuple of (coeff, atoms).
-    scaling maps (scal, other) -> HalfLaurent monomial mu, the factor per
-    *half* power: G^s * x = mu^(2s) * x * G^s.
+    rules maps (hi, lo), hi after lo in normal order, to (kappa,
+    correction) for hi*lo -> kappa*lo*hi + correction, correction a tuple
+    of (coeff, atoms).  A scaling generator's letter is its half power and
+    its pairs have no correction.  A rule without a correction swaps whole
+    runs, hi^m lo^n -> kappa^(m*n) lo^n hi^m for runs of m and n letters,
+    as that is m*n one-letter swaps, each multiplying by kappa.
     """
 
-    def __init__(self, name, generators, rules, scaling=None, lambda_one=False):
+    def __init__(self, name, generators, rules, lambda_one=False):
         self.name = name
         self.generators = tuple(generators)
         self.order = {g: i for i, (g, _) in enumerate(self.generators)}
         self.kind = dict(self.generators)
+        self.letters = {g: 2 if self.is_scaling(g) else 1 for g in self.kind}
         self.rules = dict(rules)
-        self.scaling = dict(scaling or {})
         self.lambda_one = lambda_one
         self._unit_rules = {}
         self._square = None     # tensor_square(self), built on first use
-        ordinaries = [g for g, k in self.generators if k != SCALING]
-        for i, lo in enumerate(ordinaries):
-            for hi in ordinaries[i + 1:]:
-                if (hi, lo) not in self.rules:
-                    raise ValueError(f"missing swap rule for pair ({hi}, {lo})")
+        for lo, hi in itertools.combinations(self.order, 2):
+            rule = self.rules.get((hi, lo))
+            if rule is None:
+                raise ValueError(f"missing swap rule for pair ({hi}, {lo})")
+            if rule[1] and SCALING in (self.kind[hi], self.kind[lo]):
+                raise ValueError(f"scaling pair ({hi}, {lo}) has a correction")
 
     def is_scaling(self, g) -> bool:
         return self.kind[g] == SCALING
 
     def is_invertible(self, g) -> bool:
         return self.kind[g] in (INVERTIBLE, SCALING)
-
-    def mu(self, scal, other) -> HalfLaurent:
-        return self.scaling.get((scal, other), HalfLaurent.one())
 
     # -- unit rules for all sign combinations ------------------------------
 
@@ -155,27 +161,23 @@ def _find_event(pres, atoms):
 
 def _apply_event(pres, coeff, atoms, i):
     """Expand the reduction step at position i: a merge when atoms i and
-    i + 1 share a generator, else a swap.  Returns (coeff, atoms) terms."""
+    i + 1 share a generator, else a swap of the two runs, or of one letter
+    of each when the pair's rule has a correction.  Returns (coeff, atoms)
+    terms."""
     (g1, e1), (g2, e2) = atoms[i], atoms[i + 1]
     if g1 == g2:
         e = e1 + e2
         mid = ((g1, rational(e)),) if e else ()
         return [(coeff, atoms[:i] + mid + atoms[i + 2:])]
 
-    s1_scal, s2_scal = pres.is_scaling(g1), pres.is_scaling(g2)
-    if s1_scal and s2_scal:
-        # distinct scaling generators commute
-        return [(coeff, atoms[:i] + ((g2, e2), (g1, e1)) + atoms[i + 2:])]
-    if s1_scal or s2_scal:
-        if s1_scal:     # move G^e1 right past other^e2
-            scal, other, h = g1, g2, 2 * e1 * e2
-        else:           # move other^e1 right past G^e2
-            scal, other, h = g2, g1, -2 * e1 * e2
-        factor = pres.mu(scal, other) ** int(h)
-        return [(coeff * factor,
+    kappa, corr = pres.rules[(g1, g2)]
+    if not corr:
+        # m*n swaps of one letter past another (see the module docstring)
+        n = e1 * pres.letters[g1] * e2 * pres.letters[g2]
+        return [(coeff * kappa ** n,
                  atoms[:i] + ((g2, e2), (g1, e1)) + atoms[i + 2:])]
 
-    # ordinary-ordinary: peel one unit from the boundary of each run
+    # a rule with a correction: peel one letter off each run
     s1 = 1 if e1 > 0 else -1
     s2 = 1 if e2 > 0 else -1
     left = atoms[:i] + (((g1, e1 - s1),) if e1 != s1 else ())
@@ -457,14 +459,12 @@ def tensor_square(pres: Presentation) -> Presentation:
         for (hi, lo), (kappa, corr) in pres.rules.items():
             new_corr = tuple((c, _on_leg(w, leg)) for c, w in corr)
             rules[(leg_name(hi, leg), leg_name(lo, leg))] = (kappa, new_corr)
-    one = FracScalar.one()
-    ordinaries = [g for g, k in pres.generators if k != SCALING]
-    for hi in ordinaries:
-        for lo in ordinaries:
-            rules[(leg_name(hi, 2), leg_name(lo, 1))] = (one, ())
-    scaling = {(leg_name(s, leg), leg_name(x, leg)): mu
-               for (s, x), mu in pres.scaling.items() for leg in legs}
-    pres._square = Presentation(f"{pres.name}^x2", gens, rules, scaling,
+    # the legs commute, by a 1 of the type a same-leg kappa has
+    one, scaling_one = FracScalar.one(), HalfLaurent.one()
+    for (hi, k_hi), (lo, k_lo) in itertools.product(pres.generators, repeat=2):
+        kappa = scaling_one if SCALING in (k_hi, k_lo) else one
+        rules[(leg_name(hi, 2), leg_name(lo, 1))] = (kappa, ())
+    pres._square = Presentation(f"{pres.name}^x2", gens, rules,
                                 lambda_one=pres.lambda_one)
     return pres._square
 

@@ -90,14 +90,14 @@ class _Scalar:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.one(), self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return self.one() if result is None else result
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -265,6 +265,8 @@ class HalfLaurent(_Scalar):
     # -- substitutions / evaluation
 
     def subs_lambda_one(self) -> "HalfLaurent":
+        if not any(v for _, v in self.terms):
+            return self
         terms = {}
         for (u, v), c in self.terms.items():
             terms[(u, 0)] = terms.get((u, 0), 0) + c
@@ -647,13 +649,15 @@ def scalar_is_zero(x) -> bool:
 
 
 def scalar_lambda_one(x):
-    """Substitute lambda = 1 anywhere in the scalar tower."""
+    """Substitute lambda = 1 anywhere in the scalar tower; a HalfLaurent or
+    FracScalar x with no power of lambda is returned as it is."""
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, HalfLaurent):
         return x.subs_lambda_one()
     if isinstance(x, FracScalar):
-        return FracScalar(x.num.subs_lambda_one(), x.den.subs_lambda_one())
+        num, den = x.num.subs_lambda_one(), x.den.subs_lambda_one()
+        return x if num is x.num and den is x.den else FracScalar(num, den)
     if isinstance(x, RadScalar):
         return RadScalar([(scalar_lambda_one(c), rad) for c, rad in x.terms])
     raise ScalarError(f"unexpected scalar type {type(x).__name__}")

@@ -258,12 +258,26 @@ class TestTensor:
         assert not (x - y).is_zero()  # q-commute, not commute
 
 
+class TestPresentation:
+    def test_scaling_pairs_need_rules_without_corrections(self):
+        good = apq_presentation()
+        rules = dict(good.rules)
+        kappa, _ = rules.pop(("b", "D"))
+        with pytest.raises(ValueError,
+                           match=r"missing swap rule for pair \(b, D\)"):
+            Presentation("apq-no-bD", good.generators, rules)
+        rules[("b", "D")] = (kappa, ((FracScalar.one(), (("a", 1),)),))
+        with pytest.raises(ValueError,
+                           match=r"scaling pair \(b, D\) has a correction"):
+            Presentation("apq-bD-corrected", good.generators, rules)
+
+
 def broken_apq() -> Presentation:
     """A with c*b -> b*c instead of c*b -> q/p b*c: not confluent."""
     good = apq_presentation()
     rules = dict(good.rules)
     rules[("c", "b")] = (FracScalar.one(), ())
-    return Presentation("apq-broken", good.generators, rules, good.scaling)
+    return Presentation("apq-broken", good.generators, rules)
 
 
 class TestConfluence:

@@ -5,6 +5,8 @@ built by NCPoly products that merge powers of one generator but never
 swap two generators, so no commutation rule of the engine shapes it.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from qexpmap import rewrite
@@ -133,3 +135,83 @@ def test_d_power_times_a_power(m, n, monkeypatch):
     z^k = (q p^-1)^(k(k-1)/2) b^k c^k."""
     want = without_swaps(monkeypatch, d_power_a_power_straightened, m, n)
     assert a_parse(f"d^{m}*a^{n}") == want
+
+
+# Every exchange relation without a correction, written lo hi = r hi lo
+# for each pair of letters lo before hi in normal order; a letter of D or
+# k is its half power.  In A: ab = q ba, ac = p ca, bc = (p/q) cb,
+# bd = p db, cd = q dc, and D^(1/2) commutes with a and d, while
+# D^(1/2) b = lambda^-1 b D^(1/2) and D^(1/2) c = lambda c D^(1/2).  In U:
+# f k^(1/2) = Q^(1/2) k^(1/2) f and k^(1/2) e = Q^(1/2) e k^(1/2).
+P, Q = HalfLaurent.monomial(1, 2, 2), HalfLaurent.monomial(1, 2, -2)
+LAMBDA, Q_HALF = HalfLaurent.monomial(1, 0, 2), HalfLaurent.monomial(1, 1, 0)
+EXCHANGE = {
+    "apq": {("a", "b"): Q, ("a", "c"): P, ("b", "c"): P * Q ** -1,
+            ("b", "d"): P, ("c", "d"): Q, ("D", "a"): HalfLaurent.one(),
+            ("D", "b"): LAMBDA ** -1, ("D", "c"): LAMBDA,
+            ("D", "d"): HalfLaurent.one()},
+    "uq": {("f", "k"): Q_HALF, ("k", "e"): Q_HALF},
+}
+
+
+def cross_leg_exchange(pres):
+    """The legs of a tensor square commute: r = 1 for g@1 h@2."""
+    names = [g for g, _ in pres.generators]
+    return {(rewrite.leg_name(lo, 1), rewrite.leg_name(hi, 2)):
+            HalfLaurent.one() for lo in names for hi in names}
+
+
+def run_exponents(g):
+    """Runs of 1 to 4 letters, negative ones too where g is invertible, as
+    exponents of g: D and k take half powers."""
+    base = g.split("@")[0]
+    counts = range(1, 5)
+    if base in ("a", "D", "k"):
+        counts = [*counts, *(-t for t in counts)]
+    return [(t, Fraction(t, 2) if base in ("D", "k") else t) for t in counts]
+
+
+@pytest.mark.parametrize("pres, exchange", [
+    (apq_presentation(), EXCHANGE["apq"]),
+    (u_presentation(), EXCHANGE["uq"]),
+    (rewrite.tensor_square(apq_presentation()),
+     cross_leg_exchange(apq_presentation())),
+    (rewrite.tensor_square(u_presentation()),
+     cross_leg_exchange(u_presentation())),
+], ids=["apq", "uq", "apq^x2", "uq^x2"])
+def test_whole_run_swaps(pres, exchange, monkeypatch):
+    """hi^m lo^n = r^(-m n) lo^n hi^m for runs of m and n letters: moving
+    the run hi^m right past lo^n is m n swaps of one letter past another,
+    each multiplying by r^-1 (by r for an inverse letter, which the signs
+    of m and n count)."""
+    if pres.name in EXCHANGE:
+        free = {(lo, hi) for (hi, lo), (_, corr) in pres.rules.items()
+                if not corr}
+        assert set(exchange) == free
+
+    def swapped(factor, lo, lo_exp, hi, hi_exp):
+        return (NCPoly.scalar(pres, factor) * NCPoly.gen(pres, lo, lo_exp)
+                * NCPoly.gen(pres, hi, hi_exp))
+
+    for (lo, hi), r in exchange.items():
+        for n, lo_exp in run_exponents(lo):
+            for m, hi_exp in run_exponents(hi):
+                want = without_swaps(monkeypatch, swapped, r ** (-m * n),
+                                     lo, lo_exp, hi, hi_exp)
+                got = (NCPoly.gen(pres, hi, hi_exp)
+                       * NCPoly.gen(pres, lo, lo_exp))
+                assert got == want, (lo, n, hi, m)
+
+
+def test_a_run_swap_is_one_step(monkeypatch):
+    steps = []
+    apply_event = rewrite._apply_event
+
+    def counting(pres, coeff, atoms, i):
+        steps.append(atoms)
+        return apply_event(pres, coeff, atoms, i)
+
+    monkeypatch.setattr(rewrite, "_apply_event", counting)
+    assert agen("b", 4) * agen("a", 4) == NCPoly.scalar(
+        apq_presentation(), Q ** -16) * agen("a", 4) * agen("b", 4)
+    assert steps == [(("b", 4), ("a", 4))]
