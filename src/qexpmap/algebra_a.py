@@ -77,10 +77,9 @@ def coproduct(x: NCPoly) -> NCPoly:
 @lru_cache(maxsize=None)
 def _coproduct_images() -> dict[str, NCPoly]:
     """Delta(t_ik) = sum_l t_il (x) t_lk on the defining matrix T."""
-    t2 = tensor_square(apq_presentation())
     t = (("a", "b"), ("c", "d"))
-    return {t[i][k]: tensor(agen(t[i][0]), agen(t[0][k]), t2)
-            + tensor(agen(t[i][1]), agen(t[1][k]), t2)
+    return {t[i][k]: tensor(agen(t[i][0]), agen(t[0][k]))
+            + tensor(agen(t[i][1]), agen(t[1][k]))
             for i in range(2) for k in range(2)}
 
 
@@ -155,7 +154,7 @@ def qdet_identities() -> list[Identity]:
                            agen("D", Fraction(1, 2)) * det))
     idents.append(Identity(
         "qdet.grouplike",
-        coproduct(det), tensor(det, det, tensor_square(pres))))
+        coproduct(det), tensor(det, det)))
     idents.append(Identity(
         "qdet.counit",
         NCPoly.scalar(pres, counit(det)), NCPoly.one(pres)))

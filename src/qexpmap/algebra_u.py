@@ -138,47 +138,37 @@ class Rep:
     Rows and columns are indexed by the weights m = j, j-1, ..., -j.
     Jplus/Jminus are the ladder matrices, built from ``ladder``: entry
     (m, m-1) of Jplus is ladder(j+m), entry (m, m+1) of Jminus is
-    ladder(j-m), and every other entry is zero_entry().  J0 is the weight
-    and z the central charge.  ``norm`` records whether ladder entries
-    are square roots of q-integers ("symmetric") or plain q-integers
-    ("rational").
+    ladder(j-m), and every other entry is ``zero``.  ``zero`` and ``one``
+    are the 0 and 1 of the type of ladder(1), which is defined even at
+    j = 0, where no ladder entry is built.  J0 is the weight and z the
+    central charge.
     """
 
-    def __init__(self, j, z, norm, ladder):
+    def __init__(self, j, z, ladder):
         self.j = Fraction(j)
         self.z = Fraction(z)
-        self.norm = norm
         self.mvals = [self.j - i for i in range(int(2 * self.j) + 1)]
-        zero = self.zero_entry()
+        kind = type(ladder(1))
+        self.zero, self.one = kind.zero(), kind.one()
         # s = 1 builds J+ (row m, column m-1), s = -1 builds J- (m, m+1)
         self.Jplus, self.Jminus = (Matrix.build(
             self.dim, self.dim,
             lambda r, c: ladder(int(self.j + s * self.mvals[r]))
-            if c == r + s else zero) for s in (1, -1))
-        self.J0 = Matrix.build(
-            self.dim, self.dim,
-            lambda r, c: FracScalar(self.mvals[r]) if r == c else 0)
+            if c == r + s else self.zero) for s in (1, -1))
+        self.J0 = self.diag(FracScalar)
 
     @property
     def dim(self) -> int:
         return len(self.mvals)
 
-    def zero_entry(self):
-        return RadScalar.zero() if self.norm == "symmetric" \
-            else FracScalar.zero()
-
-    def one_entry(self):
-        return RadScalar.one() if self.norm == "symmetric" \
-            else FracScalar.one()
-
     def identity(self) -> Matrix:
-        return Matrix.identity(self.dim, self.one_entry())
+        return Matrix.identity(self.dim, self.one)
 
     def diag(self, fn) -> Matrix:
         """Diagonal matrix with entry fn(m) at weight m."""
         return Matrix.build(
             self.dim, self.dim,
-            lambda r, c: fn(self.mvals[r]) if r == c else self.zero_entry())
+            lambda r, c: fn(self.mvals[r]) if r == c else self.zero)
 
 
 def spin_params(j, z, norm: str):
@@ -206,8 +196,8 @@ def gamma_rep(j, z, norm: str = "symmetric") -> Rep:
     j, z = spin_params(j, z, norm)
     top = int(2 * j) + 1
     if norm == "symmetric":
-        return Rep(j, z, norm, lambda n: RadScalar.sqrt_qints([n, top - n]))
-    return Rep(j, z, norm, lambda n: FracScalar(qint(top - n)))
+        return Rep(j, z, lambda n: RadScalar.sqrt_qints([n, top - n]))
+    return Rep(j, z, lambda n: FracScalar(qint(top - n)))
 
 
 def hatted(rep: Rep):

@@ -25,11 +25,15 @@ def _events(pres, atoms):
 
 class ConfluenceReport:
     def __init__(self, presentation: str, max_len: int, words_checked: int = 0,
-                 confluent: bool = True, counterexamples: list | None = None):
+                 counterexamples: list | None = None):
         self.presentation, self.max_len = presentation, max_len
-        self.words_checked, self.confluent = words_checked, confluent
+        self.words_checked = words_checked
         self.counterexamples = [] if counterexamples is None \
             else counterexamples
+
+    @property
+    def confluent(self) -> bool:
+        return not self.counterexamples
 
     def to_json(self):
         return {"presentation": self.presentation, "max_len": self.max_len,
@@ -92,7 +96,6 @@ def confluence_check(pres: Presentation, max_len: int = 3) -> ConfluenceReport:
             report.words_checked += 1
             forms = _normal_forms(pres, word, memo, budget)
             if len(forms) > 1:
-                report.confluent = False
                 report.counterexamples.append({
                     "word": [[g, str(e)] for g, e in word],
                     "forms": [str(f) for f in forms[:2]],

@@ -34,15 +34,17 @@ from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, lam_pow,
                       qfact, qint)
 
 
-def qexp(tsign: int, x: Matrix, one) -> Matrix:
+def qexp(tsign: int, x: Matrix) -> Matrix:
     """q-exponential E_{t^2}(x) = sum_n t^(-n(n-1)/2) x^n / [n]_t! for
     t = Q (tsign=+1) or t = Q^-1 (tsign=-1), of a nilpotent matrix.
 
-    [n]_{Q^-1} = [n]_Q, so only the prefactor depends on the sign.
+    [n]_{Q^-1} = [n]_Q, so only the prefactor depends on the sign.  The
+    identity term is over x's entry type: x[0, 0] ** 0 is that type's 1,
+    NCPoly.one of its algebra for a polynomial.
     """
     if tsign not in (1, -1):
         raise ValueError("tsign must be +1 or -1")
-    result = Matrix.identity(x.nrows, one)
+    result = Matrix.identity(x.nrows, x[0, 0] ** 0)
     power = result
     for n in range(1, x.nrows + 1):
         power = power * x
@@ -145,13 +147,13 @@ def _factorized_core(j, norm):
     coefficients are lifted, and its weights j, j-1, ..., -j."""
     pres = apq_presentation()
     rep = gamma_rep(j, j, norm) if norm == "symmetric" \
-        else Rep(j, j, norm, lambda n: FracScalar(qint(n)))
+        else Rep(j, j, lambda n: FracScalar(qint(n)))
     jp_hat, jm_hat = hatted(rep)
     coords = exponential_coordinates()
     beta, gamma, w = coords["beta"], coords["gamma"], coords["w"]
     one = NCPoly.one(pres)
 
-    left = qexp(-1, jm_hat.map(lambda s: gamma * s), one)
+    left = qexp(-1, jm_hat.map(lambda s: gamma * s))
     # apow[n] = a^n and wpow[n] = w^n, each power formed once, by the
     # products that ** forms
     a, apow, wpow = agen("a"), [one], [one]
@@ -159,7 +161,7 @@ def _factorized_core(j, norm):
         apow.append(apow[-1] * a)
         wpow.append(wpow[-1] * w)
     mid = rep.diag(lambda m: apow[int(rep.j + m)] * wpow[int(rep.j - m)])
-    right = qexp(1, jp_hat.map(lambda s: beta * s), one)
+    right = qexp(1, jp_hat.map(lambda s: beta * s))
     # pushing d (in w) past a^-1 (in beta) adds correction terms: mid * right
     # does it once per entry, and gamma^n = c^n a^-n then needs only swaps
     # without corrections, where (left * mid) * right would do it in every
@@ -181,10 +183,10 @@ def t_counit_identities(j, z) -> list[Identity]:
     return [Identity(f"counit(T^({j};{z}))=id", lhs, rhs)]
 
 
-def _coproduct_identities(mat: Matrix, delta, pres, label) -> list[Identity]:
+def _coproduct_identities(mat: Matrix, delta, label) -> list[Identity]:
     """Delta(M_ik) = sum_l M_il (x) M_lk, entry by entry, for a square
-    matrix over pres whose coproduct is delta; label(i, k) names each."""
-    t2 = tensor_square(pres)
+    matrix of polynomials with coproduct delta; label(i, k) names each."""
+    t2 = tensor_square(mat[0, 0].pres)
     dim = mat.nrows
     idents = []
     for i in range(dim):
@@ -192,7 +194,7 @@ def _coproduct_identities(mat: Matrix, delta, pres, label) -> list[Identity]:
             lhs = delta(mat[i, k])
             rhs = NCPoly.zero(t2)
             for l in range(dim):
-                rhs = rhs + tensor(mat[i, l], mat[l, k], t2)
+                rhs = rhs + tensor(mat[i, l], mat[l, k])
             idents.append(Identity(label(i, k), lhs, rhs))
     return idents
 
@@ -200,7 +202,7 @@ def _coproduct_identities(mat: Matrix, delta, pres, label) -> list[Identity]:
 def comodule_identities(j, z) -> list[Identity]:
     """Delta(T_ik) = sum_l T_il (x) T_lk, entry by entry."""
     return _coproduct_identities(
-        t_matrix_closed(j, z, "rational"), coproduct, apq_presentation(),
+        t_matrix_closed(j, z, "rational"), coproduct,
         lambda i, k: f"Delta(T^({j};{z})[{i},{k}])")
 
 
@@ -234,7 +236,7 @@ def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
     rep2 = gamma_rep(j2, z2, norm)
     jp, jm = hatted(rep1)[0], hatted(rep2)[1]
     total = qexp(1, jp.kron(jm) * (HalfLaurent.monomial(1, -2, 2)
-                                   * (1 - Q_pow(4))), rep1.one_entry())
+                                   * (1 - Q_pow(4))))
     pref = [HalfLaurent.monomial(1, int(-4 * m1 * m2),
                                  int(4 * (rep1.z * m2 - m1 * rep2.z)))
             for m1 in rep1.mvals for m2 in rep2.mvals]
@@ -254,7 +256,7 @@ def _r21_inverse(j1, j2) -> Matrix:
     rep2 = gamma_rep(j2, 0, "rational")
     jm, jp = hatted(rep1)[1], hatted(rep2)[0]
     total = qexp(-1, jm.kron(jp) * (HalfLaurent.monomial(1, -2, 2)
-                                    * (Q_pow(4) - 1)), rep1.one_entry())
+                                    * (Q_pow(4) - 1)))
     diag = [Q_pow(int(4 * m1 * m2)) for m1 in rep1.mvals for m2 in rep2.mvals]
     return Matrix.build(total.nrows, total.ncols,
                         lambda r, c: total[r, c] * diag[c])
@@ -323,12 +325,11 @@ def _l_matrix(sign, j, norm) -> Matrix:
     coords = exponential_coordinates()
     m_beta = u_rep_apply(rep, pi_apply(sign, coords["beta"]))
     m_gamma = u_rep_apply(rep, pi_apply(sign, coords["gamma"]))
-    one = NCPoly.one(pres)
     jp, jm = _jhat_plus_u(), _jhat_minus_u()
-    left = qexp(-1, m_gamma.map(lambda s: s * jm), one)
+    left = qexp(-1, m_gamma.map(lambda s: s * jm))
     ksign = -2 if sign == "+" else 2
     mid = rep.diag(lambda m: NCPoly.gen(pres, "k", ksign * m))
-    right = qexp(1, m_beta.map(lambda s: s * jp), one)
+    right = qexp(1, m_beta.map(lambda s: s * jp))
     return left * mid * right
 
 
@@ -358,7 +359,7 @@ def rll_identities(j) -> list[Identity]:
 def delta_l_identities(sign: str, j) -> list[Identity]:
     """Delta(L_ik) = sum_l L_il (x) L_lk."""
     return _coproduct_identities(
-        l_matrix(sign, j, "rational"), u_coproduct, u_presentation(),
+        l_matrix(sign, j, "rational"), u_coproduct,
         lambda i, k: f"Delta(L^{sign}({j})[{i},{k}])")
 
 

@@ -107,9 +107,6 @@ class Matrix:
         return Matrix([[a - b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return self.map(lambda x: -x)
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -119,10 +116,6 @@ class Matrix:
             return Matrix([[_dot(arow, bcol) for bcol in cols]
                            for arow in rows])
         return self.map(lambda x: x * other)
-
-    def __rmul__(self, other):
-        # scalar * matrix; scalars commute with entries
-        return self.map(lambda x: other * x)
 
     def kron(self, other) -> "Matrix":
         return Matrix.build(
@@ -141,9 +134,6 @@ class Matrix:
         return self.rows == other.rows
 
     __hash__ = None
-
-    def to_json(self, entry_fn):
-        return [[entry_fn(x) for x in row] for row in self.rows]
 
     def __repr__(self):
         body = "\n ".join("[" + ", ".join(str(x) for x in row) + "]"

@@ -192,7 +192,8 @@ def matrix_json(m: Matrix):
         if isinstance(x, NCPoly):
             return poly_json(x)
         return {"scalar": scalar_to_json(x)}
-    return {"rows": m.nrows, "cols": m.ncols, "entries": m.to_json(entry)}
+    return {"rows": m.nrows, "cols": m.ncols,
+            "entries": [[entry(x) for x in row] for row in m.rows]}
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,15 @@ def _aligned(lhs, rhs):
 
 
 class CheckResult:
-    def __init__(self, check: str, params: dict, passed: bool,
+    def __init__(self, check: str, params: dict,
                  residuals: list | None = None, notes: list | None = None):
-        self.check, self.params, self.passed = check, params, passed
+        self.check, self.params = check, params
         self.residuals = [] if residuals is None else residuals
         self.notes = [] if notes is None else notes
+
+    @property
+    def passed(self) -> bool:
+        return not self.residuals
 
     def to_json(self):
         return {"check": self.check, "params": self.params,
@@ -79,7 +83,7 @@ def run_identities(check: str, params: dict, identities,
         if not holds:
             failing.append({"identity": ident.label,
                             "residual": _describe(ident.residual())})
-    return CheckResult(check, params, not failing, failing, notes)
+    return CheckResult(check, params, failing, notes)
 
 
 def _describe(res) -> str:

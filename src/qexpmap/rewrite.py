@@ -83,10 +83,11 @@ class Presentation:
 
     rules maps (hi, lo), hi after lo in normal order, to (kappa,
     correction) for hi*lo -> kappa*lo*hi + correction, correction a tuple
-    of (coeff, atoms).  A scaling generator's letter is its half power and
-    its pairs have no correction.  A rule without a correction swaps whole
-    runs, hi^m lo^n -> kappa^(m*n) lo^n hi^m for runs of m and n letters,
-    as that is m*n one-letter swaps, each multiplying by kappa.
+    of (coeff, atoms).  A scaling generator's letter is its half power.
+    Its pairs, and every pair whose hi is invertible, have no correction.
+    A rule without a correction swaps whole runs, hi^m lo^n ->
+    kappa^(m*n) lo^n hi^m for runs of m and n letters, as that is m*n
+    one-letter swaps, each multiplying by kappa.
     """
 
     def __init__(self, name, generators, rules, lambda_one=False):
@@ -105,6 +106,9 @@ class Presentation:
                 raise ValueError(f"missing swap rule for pair ({hi}, {lo})")
             if rule[1] and SCALING in (self.kind[hi], self.kind[lo]):
                 raise ValueError(f"scaling pair ({hi}, {lo}) has a correction")
+            if rule[1] and self.is_invertible(hi):
+                raise ValueError(f"pair ({hi}, {lo}) has a correction and "
+                                 f"an invertible {hi}")
 
     def is_scaling(self, g) -> bool:
         return self.kind[g] == SCALING
@@ -112,38 +116,26 @@ class Presentation:
     def is_invertible(self, g) -> bool:
         return self.kind[g] in (INVERTIBLE, SCALING)
 
-    # -- unit rules for all sign combinations ------------------------------
+    # -- unit rules for both signs of the lower letter ----------------------
 
-    def unit_rule(self, g1, s1, g2, s2):
-        """Expansion of g1^s1 * g2^s2 (signs +-1, order(g1) > order(g2))
-        as a list of (coeff, atoms) already in lower order."""
-        key = (g1, s1, g2, s2)
+    def unit_rule(self, g1, g2, s2):
+        """Expansion of g1 * g2^s2 (s2 = +-1, order(g1) > order(g2)) as a
+        list of (coeff, atoms) already in lower order, for a pair whose
+        rule has a correction, so g1 is not invertible and its letter is
+        g1 itself.  For s2 = -1 the rule g1 g2 = kappa g2 g1 + C gives
+        g1 g2^-1 = kappa^-1 g2^-1 g1 - kappa^-1 g2^-1 C g2^-1."""
+        key = (g1, g2, s2)
         cached = self._unit_rules.get(key)
         if cached is not None:
             return cached
-        rule = self.rules[(g1, g2)]
-        y, x = (g1, 1), (g2, 1)
+        kappa, corr = self.rules[(g1, g2)]
         if s2 == -1:
-            rule = _invert(rule, x)
-            x = (g2, -1)
-        if s1 == -1:
-            rule = _invert(rule, y)
-            y = (g1, -1)
-        kappa, corr = rule
-        out = [(kappa, (x, y)), *corr]
+            kappa = lift_scalar(kappa, FracScalar).inverse()
+            xi = ((g2, -1),)
+            corr = tuple((-(kappa * c), xi + w + xi) for c, w in corr)
+        out = [(kappa, ((g2, s2), (g1, 1))), *corr]
         self._unit_rules[key] = out
         return out
-
-
-def _invert(rule, z):
-    """From Y X = kappa X Y + C, with z the atom X or Y, derive the rule
-    for z inverted: Y X^-1 = kappa^-1 X^-1 Y - kappa^-1 X^-1 C X^-1, or
-    Y^-1 X = kappa^-1 X Y^-1 - kappa^-1 Y^-1 C Y^-1."""
-    kappa, corr = rule
-    ki = lift_scalar(kappa, FracScalar).inverse()
-    zi = (z[0], -z[1])
-    new_corr = tuple((-(ki * c), (zi,) + w + (zi,)) for c, w in corr)
-    return (ki, new_corr)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +154,9 @@ def _find_event(pres, atoms):
 def _apply_event(pres, coeff, atoms, i):
     """Expand the reduction step at position i: a merge when atoms i and
     i + 1 share a generator, else a swap of the two runs, or of one letter
-    of each when the pair's rule has a correction.  Returns (coeff, atoms)
-    terms."""
+    of each when the pair's rule has a correction.  Such a pair's g1 is
+    never invertible (Presentation rejects it), so e1 > 0 and the peeled
+    letter is g1 itself.  Returns (coeff, atoms) terms."""
     (g1, e1), (g2, e2) = atoms[i], atoms[i + 1]
     if g1 == g2:
         e = e1 + e2
@@ -178,12 +171,11 @@ def _apply_event(pres, coeff, atoms, i):
                  atoms[:i] + ((g2, e2), (g1, e1)) + atoms[i + 2:])]
 
     # a rule with a correction: peel one letter off each run
-    s1 = 1 if e1 > 0 else -1
     s2 = 1 if e2 > 0 else -1
-    left = atoms[:i] + (((g1, e1 - s1),) if e1 != s1 else ())
+    left = atoms[:i] + (((g1, e1 - 1),) if e1 != 1 else ())
     right = (((g2, e2 - s2),) if e2 != s2 else ()) + atoms[i + 2:]
     return [(coeff * c, left + w + right)
-            for c, w in pres.unit_rule(g1, s1, g2, s2)]
+            for c, w in pres.unit_rule(g1, g2, s2)]
 
 
 def normal_order_terms(pres, terms):
@@ -469,8 +461,8 @@ def tensor_square(pres: Presentation) -> Presentation:
     return pres._square
 
 
-def tensor(x: NCPoly, y: NCPoly, target: Presentation) -> NCPoly:
-    """x (x) y in target, the tensor square of their presentation.
+def tensor(x: NCPoly, y: NCPoly) -> NCPoly:
+    """x (x) y in tensor_square of their presentation.
 
     Leg-1 generators precede leg-2 ones and the legs commute, so each word
     of x renamed onto leg 1 followed by each word of y renamed onto leg 2
@@ -482,7 +474,7 @@ def tensor(x: NCPoly, y: NCPoly, target: Presentation) -> NCPoly:
         w1 = _on_leg(w1, 1)
         for w2, c2 in right:
             terms[w1 + w2] = c1 * c2
-    return NCPoly._from_normal(target, terms)
+    return NCPoly._from_normal(tensor_square(x.pres), terms)
 
 
 def split_legs(word, nlegs: int):

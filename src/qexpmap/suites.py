@@ -188,7 +188,6 @@ def _run_confluence(opts) -> list[CheckResult]:
         results.append(CheckResult(
             f"confluence({pres.name},max_len={max_len})",
             {"presentation": pres.name, "max_len": max_len},
-            report.confluent,
             report.counterexamples,
             [f"words checked: {report.words_checked}"]))
     return results
@@ -219,7 +218,7 @@ def _specialize(check, params, idents, verdicts, points) -> CheckResult:
             failing.append({"identity": ident.label,
                             "residual": f"numeric mismatch at {pt}"})
     params = dict(params, points=len(points), tol=SPECIALIZE_TOL)
-    return CheckResult(f"specialize.{check}", params, not failing, failing, [])
+    return CheckResult(f"specialize.{check}", params, failing)
 
 
 def run_suite(name: str, **opts) -> list[CheckResult]:

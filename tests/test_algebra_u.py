@@ -9,7 +9,8 @@ from qexpmap.algebra_u import (Rep, fact_radicand, gamma_rep, hatted,
                                u_presentation, u_rep_apply, ugen,
                                u_relation_identities)
 from qexpmap.algebra_a import a_parse, agen
-from qexpmap.scalars import (FracScalar, Q_pow, RadScalar, ScalarError, qint,
+from qexpmap.scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar,
+                             ScalarError, qint, scalar_is_zero,
                              scalar_lambda_one)
 
 HALF = Fraction(1, 2)
@@ -92,10 +93,24 @@ class TestRepresentations:
         # S = diag(sqrt([j+m]! [j-m]!))
         j = Fraction(twoj, 2)
         sym = gamma_rep(j, j, "symmetric")
-        fact = Rep(j, j, "rational", lambda n: FracScalar(qint(n)))
+        fact = Rep(j, j, lambda n: FracScalar(qint(n)))
         S = sym.diag(lambda m: RadScalar.sqrt_qints(fact_radicand(j, m)))
         assert fact.Jplus * S == S * sym.Jplus
         assert fact.Jminus * S == S * sym.Jminus
+
+    @pytest.mark.parametrize("twoj", range(4))
+    def test_zero_and_one_have_the_ladder_type(self, twoj):
+        # at 2j = 0 no ladder entry is built, so only ladder(1) sets the type
+        j = Fraction(twoj, 2)
+        for rep, kind in ((gamma_rep(j, j, "symmetric"), RadScalar),
+                          (gamma_rep(j, j, "rational"), FracScalar),
+                          (Rep(j, j, lambda n: FracScalar(qint(n))),
+                           FracScalar),
+                          (Rep(j, j, qint), HalfLaurent)):
+            assert type(rep.zero) is kind and scalar_is_zero(rep.zero)
+            assert type(rep.one) is kind and rep.one == 1
+            assert {type(x) for row in rep.identity().rows
+                    for x in row} == {kind}
 
     def test_symmetric_entries_are_radicals(self):
         rep = gamma_rep(1, 1, "symmetric")

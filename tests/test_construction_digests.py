@@ -52,8 +52,10 @@ def l_cases():
 
 
 def r_cases():
-    for twoj1 in range(1, 5):
-        for twoj2 in range(1, min(4, 7 - twoj1) + 1):
+    # a spin-0 leg makes qexp's argument all zeros, so the type of its
+    # unit comes from the representation alone
+    for twoj1 in range(5):
+        for twoj2 in range(min(4, 7 - twoj1) + 1):
             j1, j2 = Fraction(twoj1, 2), Fraction(twoj2, 2)
             for z1, z2 in ((0, 0), (j1, j2), (j1 - HALF, j2)):
                 for norm in NORMS:

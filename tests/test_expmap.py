@@ -125,14 +125,13 @@ class TestQExp:
         zero = NCPoly.zero(pres)
         n = Matrix.build(rep_dim, rep_dim,
                          lambda r, c: one if c == r + 1 else zero)
-        result = qexp(1, n, one)
+        result = qexp(1, n)
         assert result[0, 1] == one  # [1]! = 1 prefactor
 
     def test_non_nilpotent_rejected(self):
-        pres = u_presentation()
         m = Matrix([[ugen("k")]])
         with pytest.raises(ArithmeticError):
-            qexp(1, m, NCPoly.one(pres))
+            qexp(1, m)
 
 
 class TestRMatrices:

@@ -19,9 +19,9 @@ from qexpmap.confluence import confluence_check
 from qexpmap.expmap import l_matrix
 from qexpmap.matrices import Matrix
 from qexpmap.reporting import Identity
-from qexpmap.rewrite import (ORDINARY, GuardExceeded, NCPoly, ParseError,
-                             Presentation, RewriteError, split_legs, tensor,
-                             tensor_square)
+from qexpmap.rewrite import (INVERTIBLE, ORDINARY, GuardExceeded, NCPoly,
+                             ParseError, Presentation, RewriteError,
+                             split_legs, tensor, tensor_square)
 from qexpmap.scalars import FracScalar, scalar_is_zero
 
 
@@ -239,7 +239,6 @@ class TestTensor:
         # every word of the coproduct of an A word up to length 2 splits
         # into legs whose tensor product is that word
         pres = apq_presentation()
-        t2 = tensor_square(pres)
         letters = [(g, e) for g, e in confluence._letters(pres)
                    if not (g == "a" and e < 0)]
         for length in range(3):
@@ -247,7 +246,7 @@ class TestTensor:
                 for w in coproduct(NCPoly(pres, [(1, word)])).terms:
                     l1, l2 = split_legs(w, 2)
                     x = tensor(NCPoly(pres, [(1, l1)]),
-                               NCPoly(pres, [(1, l2)]), t2)
+                               NCPoly(pres, [(1, l2)]))
                     assert x.terms == {w: 1}, w
 
     def test_per_leg_rules(self):
@@ -270,6 +269,18 @@ class TestPresentation:
         with pytest.raises(ValueError,
                            match=r"scaling pair \(b, D\) has a correction"):
             Presentation("apq-bD-corrected", good.generators, rules)
+
+    def test_corrections_need_a_non_invertible_upper_generator(self):
+        one = FracScalar.one()
+        rules = {("y", "x"): (one, ((one, ()),))}
+        with pytest.raises(ValueError,
+                           match=r"pair \(y, x\) has a correction"):
+            Presentation("xy", (("x", ORDINARY), ("y", INVERTIBLE)), rules)
+        # an invertible lower generator is allowed: its inverse's rule is
+        # derived by unit_rule
+        pres = Presentation("xy", (("x", INVERTIBLE), ("y", ORDINARY)), rules)
+        assert NCPoly.gen(pres, "y") * NCPoly.gen(pres, "x", -1) \
+            == NCPoly(pres, [(1, (("x", -1), ("y", 1))), (-1, (("x", -2),))])
 
 
 def broken_apq() -> Presentation:

@@ -135,7 +135,6 @@ COUNTEREXAMPLE = {"word": [["d", "1"], ["a", "1"]],
 def test_confluence_residuals_are_the_counterexamples(monkeypatch):
     def failing(pres, max_len):
         return ConfluenceReport(pres.name, max_len, words_checked=1,
-                                confluent=False,
                                 counterexamples=[COUNTEREXAMPLE])
 
     monkeypatch.setattr(suites, "confluence_check", failing)
@@ -148,8 +147,17 @@ def test_confluence_residuals_are_the_counterexamples(monkeypatch):
         assert r.to_json()["residuals"] == [COUNTEREXAMPLE]
 
 
+def test_verdicts_follow_the_residuals():
+    assert reporting.CheckResult("x", {}).passed
+    assert not reporting.CheckResult("x", {}, [COUNTEREXAMPLE]).passed
+    report = ConfluenceReport("apq", 2)
+    assert report.confluent
+    report.counterexamples.append(COUNTEREXAMPLE)
+    assert not report.confluent and not report.to_json()["confluent"]
+
+
 def test_reports_default_to_fresh_lists():
-    first, second = (reporting.CheckResult(c, {}, True) for c in "xy")
+    first, second = (reporting.CheckResult(c, {}) for c in "xy")
     first.residuals.append(1)
     first.notes.append(1)
     assert second.residuals == [] and second.notes == []
