@@ -61,12 +61,6 @@ def qexp(tsign: int, x: Matrix) -> Matrix:
 # the exponentiated coordinate matrices
 
 
-def _closed_prefactor(j, m, k, norm):
-    if norm == "symmetric":
-        return RadScalar.sqrt_qints(fact_radicand(j, m) + fact_radicand(j, k))
-    return qfact(int(j + m)) * qfact(int(j - m))
-
-
 def t_matrix_closed(j, z, norm: str = "symmetric") -> Matrix:
     """Spin-j matrix of coordinate algebra elements, single-sum formula.
 
@@ -77,7 +71,12 @@ def t_matrix_closed(j, z, norm: str = "symmetric") -> Matrix:
           * a^(j+k-s) b^(m-k+s) c^s d^(j-m-s)
           / ([j+k-s]! [m-k+s]! [s]! [j-m-s]!)
 
-    with P_mk the normalization prefactor.
+    with P_mk the normalization prefactor: sqrt([j+m]! [j-m]! [j+k]! [j-k]!)
+    when symmetric, [j+m]! [j-m]! when rational.
+
+    The build counts in the integers n = j+m, l = j+k and 2j, and reads
+    every [n]! from one table whose entries are chained as qfact chains
+    them.
     """
     return _t_closed(*spin_params(j, z, norm), norm)
 
@@ -85,30 +84,35 @@ def t_matrix_closed(j, z, norm: str = "symmetric") -> Matrix:
 @lru_cache(maxsize=None)
 def _t_closed(j, z, norm) -> Matrix:
     pres = apq_presentation()
-    mvals = [j - i for i in range(int(2 * j) + 1)]
+    tj, tz, dz = int(2 * j), int(2 * z), z - j
+    fact = [HalfLaurent.one()]
+    for n in range(1, tj + 1):
+        fact.append(fact[-1] * qint(n))
+    # row n's share of P_mk: radicand indices, or the rational P_mk itself
+    if norm == "symmetric":
+        rowpref = [fact_radicand(j, n - j) for n in range(tj + 1)]
+    else:
+        rowpref = [fact[n] * fact[tj - n] for n in range(tj + 1)]
 
     def entry(r, c):
-        m, k = mvals[r], mvals[c]
-        u0 = -(m - k) * (2 * j - m + k)           # half-count of Q
-        v0 = -(m - k) * (2 * j - 2 * z - m - k)   # half-count of lambda
-        head = HalfLaurent.monomial(1, int(u0), int(v0))
-        pref = _closed_prefactor(j, m, k, norm)
+        n, l = tj - r, tj - c
+        d = n - l                                   # m-k
+        u0 = -d * (tj - d)                          # half-count of Q
+        v0 = -d * (2 * tj - tz - n - l)             # half-count of lambda
+        pref = (RadScalar.sqrt_qints(rowpref[n] + rowpref[l])
+                if norm == "symmetric" else rowpref[n])
         terms = []
-        s_lo = max(0, int(k - m))
-        s_hi = min(int(j + k), int(j - m))
-        for s in range(s_lo, s_hi + 1):
-            us = -2 * s * (2 * j - m + k - s)
-            vs = -2 * s * (m - k + s)
-            mono = HalfLaurent.monomial(1, int(us), int(vs)) * head
-            den = (qfact(int(j + k - s)) * qfact(int(m - k + s))
-                   * qfact(s) * qfact(int(j - m - s)))
+        for s in range(max(0, -d), min(l, tj - n) + 1):
+            mono = HalfLaurent.monomial(1, u0 - 2 * s * (tj - d - s),
+                                        v0 - 2 * s * (d + s))
+            den = fact[l - s] * fact[d + s] * fact[s] * fact[tj - n - s]
             # the constructor drops the zero powers
-            word = (("D", z - j), ("a", j + k - s), ("b", m - k + s),
-                    ("c", s), ("d", j - m - s))
+            word = (("D", dz), ("a", l - s), ("b", d + s), ("c", s),
+                    ("d", tj - n - s))
             terms.append((pref * FracScalar(mono, den), word))
         return NCPoly(pres, terms)
 
-    return Matrix.build(len(mvals), len(mvals), entry)
+    return Matrix.build(tj + 1, tj + 1, entry)
 
 
 def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
@@ -116,7 +120,10 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
 
     The construction happens at charge z' = j, where the diagonal core is
     diag(a^(j+m) w^(j-m)); the general charge is restored by the group-like
-    scaling factor D^(z-j) lambda^((z-j)(m-k)) on entry (m, k).
+    scaling factor D^(z-j) lambda^((z-j)(m-k)) on entry (m, k).  The
+    rescale builds D^(z-j) once and multiplies by it only when z != j, and
+    by the lambda power only off the diagonal, where it is not 1; at z = j
+    every entry of the core is taken as it is.
 
     Both normalizations run this construction, each on its own ladder.
     With D = diag(sqrt([j+m]! [j-m]!)), gamma_rep's rational ladder is
@@ -127,13 +134,17 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     the charge-j construction is kept; each charge rescales it.
     """
     j, z = spin_params(j, z, norm)
-    pres = apq_presentation()
-    t, mvals = _factorized_core(j, norm)
+    t = _factorized_core(j, norm)
+    shift = int(2 * (z - j))
+    dgen = NCPoly.gen(apq_presentation(), "D", z - j) if shift else None
 
     def rescale(r, c):
-        entry = t[r, c] * lam_pow(int(2 * (z - j) * (mvals[r] - mvals[c])))
-        if z != j:
-            entry = NCPoly.gen(pres, "D", z - j) * entry
+        # lambda's half-count 2(z-j)(m-k), as row r has weight m = j-r
+        entry = t[r, c]
+        if shift and r != c:
+            entry = entry * lam_pow(shift * (c - r))
+        if dgen is not None:
+            entry = dgen * entry
         if norm == "rational":
             entry = entry.map_coeffs(lambda cf: RadScalar([(cf, ())]))
         return entry
@@ -144,7 +155,7 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
 @lru_cache(maxsize=None)
 def _factorized_core(j, norm):
     """The factorized spin-j matrix at charge j, before the rational
-    coefficients are lifted, and its weights j, j-1, ..., -j."""
+    coefficients are lifted."""
     pres = apq_presentation()
     rep = gamma_rep(j, j, norm) if norm == "symmetric" \
         else Rep(j, j, lambda n: FracScalar(qint(n)))
@@ -171,7 +182,7 @@ def _factorized_core(j, norm):
     if any(g == "D" or (g == "a" and e < 0) for row in t.rows for x in row
            for word in x.terms for g, e in word):
         raise RewriteError("factorized matrix entry kept a localized factor")
-    return t, tuple(rep.mvals)
+    return t
 
 
 def t_counit_identities(j, z) -> list[Identity]:

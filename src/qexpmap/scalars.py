@@ -525,9 +525,17 @@ class RadScalar(_Scalar):
         return RadScalar([(-c, r) for c, r in self.terms])
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        """The product; a lower-ranked other scales each coefficient by
+        it as a FracScalar and keeps the radicands, which stay square-free,
+        distinct and sorted, so only a zero other drops terms."""
+        if type(other) is not RadScalar:
+            if type(other) not in RANK:
+                return NotImplemented
+            x = lift_scalar(other, FracScalar)
+            out = object.__new__(RadScalar)
+            object.__setattr__(out, "terms", () if x.is_zero() else tuple(
+                (c * x, r) for c, r in self.terms))
+            return out
         out = []
         for c1, r1 in self.terms:
             for c2, r2 in other.terms:

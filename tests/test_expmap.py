@@ -143,6 +143,35 @@ class TestRMatrices:
         assert_all(quasitriangular_identities(HALF, HALF, HALF, HALF))
         assert_all(quasitriangular_identities(HALF, HALF, 1, 1))
 
+    # with a spin-1/2 leg (A (x) B)^2 = 0, so R's series stops at n = 1;
+    # these pairs reach the terms n >= 2 and their prefactors
+    SPINS_ABOVE_HALF = [(1, 1), (1, Fraction(3, 2)),
+                        (Fraction(3, 2), Fraction(3, 2))]
+
+    @pytest.mark.parametrize("j1,j2", SPINS_ABOVE_HALF,
+                             ids=["2j2x2j2", "2j2x2j3", "2j3x2j3"])
+    def test_quasitriangular_above_spin_half(self, j1, j2):
+        assert_all(quasitriangular_identities(j1, j1, j2, j2))
+
+    @pytest.fixture
+    def fresh_r(self):
+        """Build R anew inside the test and keep none of its builds."""
+        expmap._r_matrix.cache_clear()
+        yield
+        expmap._r_matrix.cache_clear()
+
+    def test_quasitriangular_sees_a_wrong_prefactor(self, monkeypatch,
+                                                    fresh_r):
+        # qexp(-tsign, x) is qexp with the sign of t^(-n(n-1)/2) flipped,
+        # which changes only the terms n >= 2
+        qexp_ok = expmap.qexp
+        monkeypatch.setattr(expmap, "qexp",
+                            lambda tsign, x: qexp_ok(-tsign, x))
+        assert_all(quasitriangular_identities(HALF, HALF, 1, 1))
+        failing = [i for i in quasitriangular_identities(1, 1, 1, 1)
+                   if not i.holds_exactly()]
+        assert failing
+
     @pytest.mark.parametrize("norm", ["rational", "symmetric"])
     @pytest.mark.parametrize("charge", ["z0", "zj"])
     @pytest.mark.parametrize("spins", [(1, 1), (Fraction(3, 2), 1),

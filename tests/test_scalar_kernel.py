@@ -260,6 +260,33 @@ OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
        "/": operator.truediv}
 
 
+# sums of one to three radicals with distinct, square-free radicands
+radical_sums = st.lists(
+    st.tuples(fracscalars, st.lists(st.integers(1, 5), max_size=3)),
+    min_size=1, max_size=3).map(RadScalar).filter(lambda r: r.terms)
+lower_values = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    laurents, fracscalars)
+
+
+class TestRadicalScaling:
+    # r * x for a lower-ranked x scales r's coefficients and keeps its
+    # radicands; bytes must match the general product of two radicals
+
+    @settings(deadline=None)
+    @given(radical_sums, lower_values)
+    def test_matches_general_product(self, r, x):
+        for y in (x, *TOWER_ZEROS[:4]):
+            want = r * RadScalar([(y, ())])
+            for got in (r * y, y * r):
+                assert_same(got, want)
+                rads = [rad for _, rad in got.terms]
+                assert rads == sorted(set(rads))
+                assert all(type(c) is FracScalar and not c.is_zero()
+                           for c, _ in got.terms)
+
+
 class TestPromotionOrder:
     def test_one_table(self):
         assert list(RANK) == list(TOWER)
