@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import parser
+from .memo import memo
 from .reporting import Identity
 from .rewrite import (INVERTIBLE, ORDINARY, SCALING, NCPoly, Presentation,
                       hom_apply, leg_name, tensor, tensor_square)
@@ -74,7 +75,7 @@ def coproduct(x: NCPoly) -> NCPoly:
                      lambda g, e: _coproduct_atom(_coproduct_images, g, e))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _coproduct_images() -> dict[str, NCPoly]:
     """Delta(t_ik) = sum_l t_il (x) t_lk on the defining matrix T."""
     t = (("a", "b"), ("c", "d"))
@@ -83,7 +84,7 @@ def _coproduct_images() -> dict[str, NCPoly]:
             for i in range(2) for k in range(2)}
 
 
-@lru_cache(maxsize=None)
+@memo
 def _coproduct_atom(images, g, e) -> NCPoly:
     """The coproduct of g^e, built once per process and shared, for the
     coproduct whose generator images images() returns in the tensor square;

@@ -15,6 +15,7 @@ from . import parser
 from .algebra_a import (_coproduct_atom, apq_presentation,
                         quantum_determinant, relation_identities)
 from .matrices import Matrix
+from .memo import memo
 from .reporting import Identity
 from .rewrite import (ORDINARY, SCALING, NCPoly, Presentation, UsageError,
                       hom_apply, leg_name, tensor_square)
@@ -79,7 +80,7 @@ def u_coproduct(x: NCPoly) -> NCPoly:
                      lambda g, e: _coproduct_atom(_u_coproduct_images, g, e))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _u_coproduct_images() -> dict[str, NCPoly]:
     t2 = tensor_square(u_presentation())
 

@@ -11,16 +11,17 @@ The central objects:
 * r_matrix_rep: the intertwiner restricted to a pair of spin
   representations.
 
-Each of these is built once per process for its validated arguments and
-shared by every later caller, which must not mutate it.  A shared result
-costs no rewriting, so the term guard counts only new work; a build that
-exceeds it raises and keeps nothing.
+Each of these is a memo (``qexpmap.memo``), built once per process for
+its validated arguments and shared by every later caller, which must not
+mutate it; ``memo.clear()`` forgets them all, so the next call builds
+anew over the same presentations.  A shared result costs no rewriting, so
+the term guard counts only new work; a build that exceeds it raises and
+keeps nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra_a import (a_parse, agen, apq_presentation, coproduct, counit,
                         exponential_coordinates)
@@ -28,6 +29,7 @@ from .algebra_u import (Rep, fact_radicand, gamma_rep, hatted, pi_apply,
                         spin_params, u_coproduct, u_parse, u_presentation,
                         u_rep_apply)
 from .matrices import Matrix
+from .memo import memo
 from .reporting import Identity
 from .rewrite import NCPoly, RewriteError, tensor, tensor_square
 from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, lam_pow,
@@ -81,7 +83,7 @@ def t_matrix_closed(j, z, norm: str = "symmetric") -> Matrix:
     return _t_closed(*spin_params(j, z, norm), norm)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _t_closed(j, z, norm) -> Matrix:
     pres = apq_presentation()
     tj, tz, dz = int(2 * j), int(2 * z), z - j
@@ -152,7 +154,7 @@ def t_matrix_factorized(j, z, norm: str = "symmetric") -> Matrix:
     return Matrix.build(t.nrows, t.ncols, rescale)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _factorized_core(j, norm):
     """The factorized spin-j matrix at charge j, before the rational
     coefficients are lifted."""
@@ -239,7 +241,7 @@ def r_matrix_rep(j1, z1, j2, z2, norm: str = "rational") -> Matrix:
                      norm)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
     """r_matrix_rep for validated arguments; qexp sums the series up to
     its first zero power."""
@@ -255,7 +257,7 @@ def _r_matrix(j1, z1, j2, z2, norm) -> Matrix:
                         lambda r, c: pref[r] * total[r, c])
 
 
-@lru_cache(maxsize=None)
+@memo
 def _r21_inverse(j1, j2) -> Matrix:
     """R21^-1: the inverse of r_matrix_rep(j2, 0, j1, 0) with its legs
     flipped to (j1, j2).  That flipped R is diag(Q^(-2 m1 m2)) E_{Q^2}(x)
@@ -329,7 +331,7 @@ def l_matrix(sign: str, j, norm: str = "symmetric") -> Matrix:
     return _l_matrix(sign, j, norm)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _l_matrix(sign, j, norm) -> Matrix:
     rep = gamma_rep(j, j, norm)
     pres = u_presentation()

@@ -9,7 +9,10 @@ rule has no correction swaps whole runs: g1^e1 g2^e2, runs of m and n
 letters (m = e1, or 2*e1 for a scaling g1), is m*n swaps of one letter
 past another, each multiplying by kappa (kappa^-1 for an inverse letter,
 as the signs of m and n count), so one step gives kappa^(m*n) g2^e2 g1^e1.
-Only a pair with a correction peels one letter off each run.  Like terms
+Only a pair with a correction peels one letter off each run, by the pair's
+entry in ``Presentation.unit_rules``, built with the presentation.  A
+presentation is a singleton that no ``memo.clear()`` forgets: polynomials
+of two presentation objects do not mix.  Like terms
 merge only when a term reaches a normal word (the result dict of
 ``normal_order_terms``), so every rewrite path is walked on its own.
 Termination is enforced by a term-count guard rather than a proof;
@@ -27,6 +30,7 @@ same rule, dropping those that cancel, so nothing re-checks.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import os
 from fractions import Fraction
@@ -88,6 +92,12 @@ class Presentation:
     A rule without a correction swaps whole runs, hi^m lo^n ->
     kappa^(m*n) lo^n hi^m for runs of m and n letters, as that is m*n
     one-letter swaps, each multiplying by kappa.
+
+    unit_rules maps (hi, lo, s) to hi * lo^s as (coeff, atoms) terms
+    already in lower order, for every pair whose rule has a correction:
+    s = +1 always, and s = -1 when lo is invertible.  The constructor
+    builds the whole table, so a Presentation holds no state filled in
+    after it is made.
     """
 
     def __init__(self, name, generators, rules, lambda_one=False):
@@ -98,44 +108,35 @@ class Presentation:
         self.letters = {g: 2 if self.is_scaling(g) else 1 for g in self.kind}
         self.rules = dict(rules)
         self.lambda_one = lambda_one
-        self._unit_rules = {}
-        self._square = None     # tensor_square(self), built on first use
+        self.unit_rules = {}
         for lo, hi in itertools.combinations(self.order, 2):
             rule = self.rules.get((hi, lo))
             if rule is None:
                 raise ValueError(f"missing swap rule for pair ({hi}, {lo})")
-            if rule[1] and SCALING in (self.kind[hi], self.kind[lo]):
+            kappa, corr = rule
+            if not corr:
+                continue
+            if SCALING in (self.kind[hi], self.kind[lo]):
                 raise ValueError(f"scaling pair ({hi}, {lo}) has a correction")
-            if rule[1] and self.is_invertible(hi):
+            if self.is_invertible(hi):
                 raise ValueError(f"pair ({hi}, {lo}) has a correction and "
                                  f"an invertible {hi}")
+            self.unit_rules[(hi, lo, 1)] = ((kappa, ((lo, 1), (hi, 1))),
+                                            *corr)
+            if self.is_invertible(lo):
+                # hi lo = kappa lo hi + C gives
+                # hi lo^-1 = kappa^-1 lo^-1 hi - kappa^-1 lo^-1 C lo^-1
+                inv = lift_scalar(kappa, FracScalar).inverse()
+                xi = ((lo, -1),)
+                self.unit_rules[(hi, lo, -1)] = (
+                    (inv, ((lo, -1), (hi, 1))),
+                    *((-(inv * c), xi + w + xi) for c, w in corr))
 
     def is_scaling(self, g) -> bool:
         return self.kind[g] == SCALING
 
     def is_invertible(self, g) -> bool:
         return self.kind[g] in (INVERTIBLE, SCALING)
-
-    # -- unit rules for both signs of the lower letter ----------------------
-
-    def unit_rule(self, g1, g2, s2):
-        """Expansion of g1 * g2^s2 (s2 = +-1, order(g1) > order(g2)) as a
-        list of (coeff, atoms) already in lower order, for a pair whose
-        rule has a correction, so g1 is not invertible and its letter is
-        g1 itself.  For s2 = -1 the rule g1 g2 = kappa g2 g1 + C gives
-        g1 g2^-1 = kappa^-1 g2^-1 g1 - kappa^-1 g2^-1 C g2^-1."""
-        key = (g1, g2, s2)
-        cached = self._unit_rules.get(key)
-        if cached is not None:
-            return cached
-        kappa, corr = self.rules[(g1, g2)]
-        if s2 == -1:
-            kappa = lift_scalar(kappa, FracScalar).inverse()
-            xi = ((g2, -1),)
-            corr = tuple((-(kappa * c), xi + w + xi) for c, w in corr)
-        out = [(kappa, ((g2, s2), (g1, 1))), *corr]
-        self._unit_rules[key] = out
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def _apply_event(pres, coeff, atoms, i):
     left = atoms[:i] + (((g1, e1 - 1),) if e1 != 1 else ())
     right = (((g2, e2 - s2),) if e2 != s2 else ()) + atoms[i + 2:]
     return [(coeff * c, left + w + right)
-            for c, w in pres.unit_rule(g1, g2, s2)]
+            for c, w in pres.unit_rules[(g1, g2, s2)]]
 
 
 def normal_order_terms(pres, terms):
@@ -438,12 +439,11 @@ def _on_leg(word, leg: int):
     return tuple((leg_name(g, leg), e) for g, e in word)
 
 
+@functools.lru_cache(maxsize=None)
 def tensor_square(pres: Presentation) -> Presentation:
     """Tensor square: one renamed copy of the presentation per leg, the
-    legs commuting, leg-1 generators first.  Built once per presentation
-    and kept on it."""
-    if pres._square is not None:
-        return pres._square
+    legs commuting, leg-1 generators first.  One object per presentation
+    for the whole process, like the presentation itself."""
     legs = (1, 2)
     gens = [(leg_name(g, leg), k) for leg in legs for g, k in pres.generators]
     rules = {}
@@ -456,9 +456,8 @@ def tensor_square(pres: Presentation) -> Presentation:
     for (hi, k_hi), (lo, k_lo) in itertools.product(pres.generators, repeat=2):
         kappa = scaling_one if SCALING in (k_hi, k_lo) else one
         rules[(leg_name(hi, 2), leg_name(lo, 1))] = (kappa, ())
-    pres._square = Presentation(f"{pres.name}^x2", gens, rules,
-                                lambda_one=pres.lambda_one)
-    return pres._square
+    return Presentation(f"{pres.name}^x2", gens, rules,
+                        lambda_one=pres.lambda_one)
 
 
 def tensor(x: NCPoly, y: NCPoly) -> NCPoly:

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 import math
+
+from .memo import memo
 
 
 class ScalarError(ArithmeticError):
@@ -330,7 +331,7 @@ def qint(n: int) -> HalfLaurent:
 
 # [n] for numeric evaluation, built once per n: a radical reads it at every
 # sample point
-_radicand = lru_cache(maxsize=None)(qint)
+_radicand = memo(qint)
 
 
 def qfact(n: int) -> HalfLaurent:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qexpmap import algebra_a, expmap, goldens, rewrite
+from qexpmap import expmap, goldens, rewrite
 from qexpmap.cli import main
 from qexpmap.algebra_u import u_presentation, ugen
 from qexpmap.expmap import (comodule_identities, delta_l_identities, l_matrix,
@@ -25,15 +25,6 @@ import test_construction_digests as construction_digests
 HALF = Fraction(1, 2)
 REFS = Path(__file__).parent / "refs"
 GOLDENS = Path(__file__).parent / "goldens"
-
-
-@pytest.fixture
-def fresh_caches():
-    """Forget every construction built so far in this process."""
-    for cache in (expmap._t_closed, expmap._factorized_core,
-                  expmap._l_matrix, expmap._r_matrix, expmap._r21_inverse,
-                  algebra_a._coproduct_atom):
-        cache.cache_clear()
 
 
 def assert_all(identities):
@@ -152,25 +143,6 @@ class TestRMatrices:
                              ids=["2j2x2j2", "2j2x2j3", "2j3x2j3"])
     def test_quasitriangular_above_spin_half(self, j1, j2):
         assert_all(quasitriangular_identities(j1, j1, j2, j2))
-
-    @pytest.fixture
-    def fresh_r(self):
-        """Build R anew inside the test and keep none of its builds."""
-        expmap._r_matrix.cache_clear()
-        yield
-        expmap._r_matrix.cache_clear()
-
-    def test_quasitriangular_sees_a_wrong_prefactor(self, monkeypatch,
-                                                    fresh_r):
-        # qexp(-tsign, x) is qexp with the sign of t^(-n(n-1)/2) flipped,
-        # which changes only the terms n >= 2
-        qexp_ok = expmap.qexp
-        monkeypatch.setattr(expmap, "qexp",
-                            lambda tsign, x: qexp_ok(-tsign, x))
-        assert_all(quasitriangular_identities(HALF, HALF, 1, 1))
-        failing = [i for i in quasitriangular_identities(1, 1, 1, 1)
-                   if not i.holds_exactly()]
-        assert failing
 
     @pytest.mark.parametrize("norm", ["rational", "symmetric"])
     @pytest.mark.parametrize("charge", ["z0", "zj"])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qexpmap import algebra_a, algebra_u, confluence, parser, rewrite
+from qexpmap import confluence, parser, rewrite
 from qexpmap.algebra_a import a_parse, agen, apq_presentation, coproduct
 from qexpmap.algebra_u import u_coproduct, u_parse, u_presentation, ugen
 from qexpmap.confluence import confluence_check
@@ -276,8 +276,8 @@ class TestPresentation:
         with pytest.raises(ValueError,
                            match=r"pair \(y, x\) has a correction"):
             Presentation("xy", (("x", ORDINARY), ("y", INVERTIBLE)), rules)
-        # an invertible lower generator is allowed: its inverse's rule is
-        # derived by unit_rule
+        # an invertible lower generator is allowed: the presentation
+        # derives its inverse's unit rule
         pres = Presentation("xy", (("x", INVERTIBLE), ("y", ORDINARY)), rules)
         assert NCPoly.gen(pres, "y") * NCPoly.gen(pres, "x", -1) \
             == NCPoly(pres, [(1, (("x", -1), ("y", 1))), (-1, (("x", -2),))])
@@ -431,12 +431,9 @@ class TestTermInvariant:
         (apq_presentation(), coproduct), (u_presentation(), u_coproduct),
     ], ids=["apq", "uq"])
     def test_coproducts_of_words_up_to_length_two(self, emitted, pres,
-                                                   delta):
-        # the images are built once per process; forget them so that
+                                                   delta, fresh_caches):
+        # fresh_caches forgets the images, built once per process, so that
         # their products run through the engine here
-        for cache in (algebra_a._coproduct_atom, algebra_a._coproduct_images,
-                      algebra_u._u_coproduct_images):
-            cache.cache_clear()
         # the coproduct is undefined on negative powers of a
         letters = [(g, e) for g, e in confluence._letters(pres)
                    if not (g == "a" and e < 0)]
