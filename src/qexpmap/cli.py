@@ -20,7 +20,7 @@ from .algebra_u import u_presentation
 from .parser import parse
 from .render import render_matrix, render_poly
 from .rewrite import GuardExceeded, RewriteError, UsageError
-from .suites import MAX_J_SUITES, MAX_LEN_SUITES, SUITES, run_suite
+from .suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,34 +137,8 @@ def _cmd_rmatrix(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if (args.j is not None or args.z is not None) and args.suite != "comodule":
-        raise UsageError("--j and --z apply only to --suite comodule")
-    if args.z is not None and args.j is None:
-        raise UsageError("--z needs --j")
-    if args.max_j is not None:
-        if args.suite not in MAX_J_SUITES:
-            raise UsageError("--max-j applies only to --suite "
-                             + ", ".join(MAX_J_SUITES))
-        if args.j is not None:
-            raise UsageError("--max-j and --j exclude each other")
-        if args.max_j < Fraction(1, 2) or (2 * args.max_j).denominator != 1:
-            raise UsageError("--max-j must be a positive half-integer")
-    if args.max_len is not None:
-        if args.suite not in MAX_LEN_SUITES:
-            raise UsageError("--max-len applies only to --suite "
-                             + ", ".join(MAX_LEN_SUITES))
-        if args.max_len < 2:
-            raise UsageError("--max-len must be at least 2")
-    opts = {}
-    if args.max_j is not None:
-        opts["max_j"] = args.max_j
-    if args.max_len is not None:
-        opts["max_len"] = args.max_len
-    if args.j is not None:
-        opts["j"] = args.j
-    if args.z is not None:
-        opts["z"] = args.z
-    results = run_suite(args.suite, **opts)
+    results = run_suite(args.suite, max_j=args.max_j, max_len=args.max_len,
+                        j=args.j, z=args.z)
     report = {"suite": args.suite,
               "pass": all(r.passed for r in results),
               "checks": [r.to_json() for r in results]}

@@ -55,7 +55,8 @@ def printed_r_half() -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# suite builders: each yields (check_name, params, identities)
+# suite builders: each reads the options that run_suite checked, None where
+# not given, and yields (check_name, params, identities)
 
 
 def _suite_relations(opts):
@@ -74,7 +75,7 @@ def _suite_lie_coords(opts):
 
 
 def _suite_closed_vs_factorized(opts):
-    max_j = opts.get("max_j", Fraction(3, 2))
+    max_j = opts.get("max_j") or Fraction(3, 2)
     for j, z in _jz_grid(max_j):
         for norm in ("rational", "symmetric"):
             lhs = expmap.t_matrix_closed(j, z, norm)
@@ -86,7 +87,7 @@ def _suite_closed_vs_factorized(opts):
 
 
 def _suite_comodule(opts):
-    max_j = opts.get("max_j", Fraction(3, 2))
+    max_j = opts.get("max_j") or Fraction(3, 2)
     j = opts.get("j")
     z = opts.get("z")
     grid = [(j, z if z is not None else j)] if j is not None \
@@ -99,7 +100,7 @@ def _suite_comodule(opts):
 
 
 def _suite_rep_relations(opts):
-    max_j = opts.get("max_j", Fraction(2))
+    max_j = opts.get("max_j") or Fraction(2)
     for j in _spins(max_j):
         for norm in ("rational", "symmetric"):
             yield (f"rep-relations(j={_fr(j)},{norm})",
@@ -117,13 +118,13 @@ def _suite_pi_homomorphism(opts):
 
 
 def _suite_rll(opts):
-    max_j = opts.get("max_j", Fraction(1))
+    max_j = opts.get("max_j") or Fraction(1)
     for j in _spins(max_j):
         yield (f"rll(j={_fr(j)})", {"j": _fr(j)}, expmap.rll_identities(j))
 
 
 def _suite_delta_l(opts):
-    max_j = opts.get("max_j", Fraction(1))
+    max_j = opts.get("max_j") or Fraction(1)
     for sign in ("+", "-"):
         for j in _spins(max_j):
             yield (f"delta-l({sign},j={_fr(j)})",
@@ -132,7 +133,7 @@ def _suite_delta_l(opts):
 
 
 def _suite_pi_t_vs_r(opts):
-    max_j = opts.get("max_j", Fraction(1))
+    max_j = opts.get("max_j") or Fraction(1)
     for j in _spins(max_j):
         yield (f"pi-t-vs-r(j={_fr(j)})", {"j": _fr(j)},
                expmap.pi_t_vs_r_identities(j))
@@ -181,7 +182,7 @@ MAX_LEN_SUITES = ("all", "confluence")
 
 
 def _run_confluence(opts) -> list[CheckResult]:
-    max_len = opts.get("max_len", 3)
+    max_len = opts.get("max_len") or 3
     results = []
     for pres in (apq_presentation(), u_presentation()):
         report = confluence_check(pres, max_len=max_len)
@@ -221,23 +222,48 @@ def _specialize(check, params, idents, verdicts, points) -> CheckResult:
     return CheckResult(f"specialize.{check}", params, failing)
 
 
-def run_suite(name: str, **opts) -> list[CheckResult]:
+def run_suite(name: str, *, max_j=None, max_len=None, j=None,
+              z=None) -> list[CheckResult]:
     """Run one named suite (or 'all').
+
+    max_j bounds the spins of the suites in MAX_J_SUITES and max_len the
+    confluence words; j and z pick the one comodule check.  An option the
+    suite does not read, or a range that selects no check, raises
+    UsageError, as does an unknown suite.
 
     Each identity is built once and checked exactly once.  `specialize`
     and `all` then evaluate the same identities numerically at random
     generic points.  Results are sorted by check name, except that
     `specialize` keeps builder order.
     """
+    if name not in (*_BUILDERS, "confluence", "specialize", "all"):
+        raise UsageError(f"unknown suite {name!r}; choose from {SUITES}")
+    if (j is not None or z is not None) and name != "comodule":
+        raise UsageError("--j and --z apply only to --suite comodule")
+    if z is not None and j is None:
+        raise UsageError("--z needs --j")
+    if max_j is not None:
+        if name not in MAX_J_SUITES:
+            raise UsageError("--max-j applies only to --suite "
+                             + ", ".join(MAX_J_SUITES))
+        if j is not None:
+            raise UsageError("--max-j and --j exclude each other")
+        if max_j < Fraction(1, 2) or (2 * max_j).denominator != 1:
+            raise UsageError("--max-j must be a positive half-integer")
+    if max_len is not None:
+        if name not in MAX_LEN_SUITES:
+            raise UsageError("--max-len applies only to --suite "
+                             + ", ".join(MAX_LEN_SUITES))
+        if max_len < 2:
+            raise UsageError("--max-len must be at least 2")
+    opts = {"max_j": max_j, "max_len": max_len, "j": j, "z": z}
     if name == "confluence":
         return _run_confluence(opts)
     if name in ("all", "specialize"):
         suites = IDENTITY_SUITES
         points = random_points(SPECIALIZE_POINTS)
-    elif name in _BUILDERS:
-        suites, points = (name,), None
     else:
-        raise UsageError(f"unknown suite {name!r}; choose from {SUITES}")
+        suites, points = (name,), None
     results = []
     for suite in suites:
         for check, params, idents in _BUILDERS[suite](opts):

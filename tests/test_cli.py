@@ -11,7 +11,7 @@ import pytest
 
 from qexpmap import expmap, suites
 from qexpmap.algebra_a import apq_presentation
-from qexpmap.cli import main
+from qexpmap.cli import build_parser, main
 from qexpmap.rewrite import NCPoly, UsageError
 from qexpmap.scalars import ScalarError
 
@@ -226,6 +226,33 @@ class TestMatrixCommands:
         assert len(out.splitlines()) == 4
 
 
+MAX_J_RULE = ("--max-j applies only to --suite all, closed-vs-factorized, "
+              "comodule, delta-l, pi-t-vs-r, rep-relations, rll, specialize")
+MAX_LEN_RULE = "--max-len applies only to --suite all, confluence"
+# each verify option that a suite does not read, or a range that selects no
+# check, and the message it is rejected with
+USAGE_ERRORS = {
+    "--suite rll --j 1/3": "--j and --z apply only to --suite comodule",
+    "--suite all --j 1": "--j and --z apply only to --suite comodule",
+    "--suite closed-vs-factorized --j 1 --z 1/3":
+        "--j and --z apply only to --suite comodule",
+    "--suite qdet --z 0": "--j and --z apply only to --suite comodule",
+    "--suite comodule --z 1/2": "--z needs --j",
+    "--suite closed-vs-factorized --max-j 0":
+        "--max-j must be a positive half-integer",
+    "--suite rll --max-j -1": "--max-j must be a positive half-integer",
+    "--suite rll --max-j 3/4": "--max-j must be a positive half-integer",
+    "--suite all --max-j 1/4": "--max-j must be a positive half-integer",
+    "--suite confluence --max-len 0": "--max-len must be at least 2",
+    "--suite all --max-len 1": "--max-len must be at least 2",
+    "--suite qdet --max-j 5": MAX_J_RULE,
+    "--suite lie-coords --max-len 3": MAX_LEN_RULE,
+    "--suite specialize --max-len 3": MAX_LEN_RULE,
+    "--suite confluence --max-j 1": MAX_J_RULE,
+    "--suite comodule --j 1 --max-j 2": "--max-j and --j exclude each other",
+}
+
+
 class TestVerify:
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "qdet")
@@ -278,6 +305,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --")
+
+    @pytest.mark.parametrize("args, message", USAGE_ERRORS.items(),
+                             ids=list(USAGE_ERRORS))
+    def test_run_suite_keeps_the_option_rules(self, capsys, args, message):
+        # the library call rejects the same options as the CLI, which
+        # prints the library's message
+        opts = build_parser().parse_args(["verify", *args.split()])
+        with pytest.raises(UsageError) as exc:
+            suites.run_suite(opts.suite, max_j=opts.max_j,
+                             max_len=opts.max_len, j=opts.j, z=opts.z)
+        assert str(exc.value) == message
+        assert run(capsys, "verify", *args.split()) \
+            == (2, "", f"error: {message}\n")
 
     def test_smallest_ranges_check_something(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "rll",

@@ -1,5 +1,6 @@
-"""Every suite can fail: each mutant corrupts one function of the
-mathematics, and every suite named in its row must report a failing check.
+"""Every suite can fail: each mutant corrupts one relation or function of
+the mathematics, and every suite named in its row must report a failing
+check, both when run alone and in the full report of `verify --suite all`.
 
 The mutants are monkeypatched functions, not edits to source files.  They
 run under ``fresh_caches``, so the constructions are built anew with the
@@ -7,17 +8,31 @@ mutant and none of them outlives the test.  A row claims nothing about
 the suites it does not name; an extra check runs under the mutant too.
 """
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from qexpmap import algebra_u, expmap
+from qexpmap import algebra_a, algebra_u, cli, expmap
 from qexpmap.expmap import quasitriangular_identities
-from qexpmap.rewrite import NCPoly
-from qexpmap.scalars import lam_pow
-from qexpmap.suites import run_suite
+from qexpmap.rewrite import NCPoly, Presentation
+from qexpmap.scalars import FracScalar, lam_pow, p_pow, q_pow
+from qexpmap.suites import SUITES, run_suite
 
 HALF = Fraction(1, 2)
+
+
+def kappa_cb_inverted(monkeypatch):
+    """c*b = (p/q) b*c in place of (q/p) b*c, in a presentation that every
+    module reading apq_presentation receives."""
+    apq = algebra_a.apq_presentation()
+    rules = dict(apq.rules)
+    rules[("c", "b")] = (FracScalar(p_pow(1) * q_pow(-1)), ())
+    pres = Presentation(apq.name, apq.generators, rules, apq.lambda_one)
+    for module in ("algebra_a", "algebra_u", "expmap", "suites"):
+        monkeypatch.setattr(f"qexpmap.{module}.apq_presentation",
+                            lambda: pres)
 
 
 def wrong_prefactor_sign(monkeypatch):
@@ -71,16 +86,20 @@ def quasitriangular_sees_it_above_spin_half():
 
 # id: (mutant, suites that must each report a failing check, extra check)
 MUTANTS = {
-    "qexp-sign": (wrong_prefactor_sign, ["rll", "delta-l"],
+    "kappa-cb": (kappa_cb_inverted,
+                 ["relations", "qdet", "lie-coords", "confluence", "comodule",
+                  "closed-vs-factorized"], None),
+    "qexp-sign": (wrong_prefactor_sign,
+                  ["rll", "delta-l", "closed-vs-factorized"],
                   quasitriangular_sees_it_above_spin_half),
     "pi-plus-a": (pi_plus_a_is_k_to_minus_two,
                   ["pi-homomorphism", "pi-t-vs-r", "tprime-r", "rll"], None),
     "doubled-ladder": (doubled_first_ladder,
                        ["rep-relations", "pi-t-vs-r", "quasitriangular",
-                        "rll"], None),
+                        "rll", "closed-vs-factorized"], None),
     "hatted-lambda": (hatted_lambda_half_count_plus_two,
-                      ["pi-t-vs-r", "quasitriangular", "rll", "tprime-r"],
-                      None),
+                      ["pi-t-vs-r", "quasitriangular", "rll", "tprime-r",
+                       "closed-vs-factorized"], None),
 }
 
 
@@ -92,3 +111,25 @@ def test_mutant_is_caught(monkeypatch, fresh_caches, mutant, suites, extra):
         assert any(not r.passed for r in run_suite(suite)), suite
     if extra is not None:
         extra()
+
+
+def test_every_suite_has_a_mutant():
+    named = {suite for _, row, _ in MUTANTS.values() for suite in row}
+    assert named == set(SUITES) - {"specialize", "all"}
+
+
+@pytest.mark.parametrize("mutant, suites",
+                         [row[:2] for row in MUTANTS.values()],
+                         ids=list(MUTANTS))
+def test_verify_all_reports_the_mutant(monkeypatch, fresh_caches, tmp_path,
+                                       mutant, suites):
+    # a broken construction is a failed check in a full report, not an
+    # internal error that ends the run
+    mutant(monkeypatch)
+    path = tmp_path / "all.json"
+    assert cli.main(["verify", "--suite", "all", "--out", str(path)]) == 1
+    checks = json.loads(path.read_text())["checks"]
+    assert len(checks) == 120
+    failing = {re.match(r"[a-z-]+", c["check"]).group()
+               for c in checks if not c["pass"]}
+    assert failing >= set(suites)

@@ -64,7 +64,8 @@ EXACT_FAILURE = [{"identity": "Q=Q^-1", "residual": "Q - Q^-1"}]
 
 @pytest.mark.parametrize("suite", ["bogus", "specialize", "all"])
 def test_exact_failure_is_skipped_numerically(bogus, suite):
-    results = {r.check: r for r in suites.run_suite(suite, max_len=2)}
+    opts = {"max_len": 2} if suite == "all" else {}
+    results = {r.check: r for r in suites.run_suite(suite, **opts)}
     if suite != "specialize":
         assert not results["bogus"].passed
         assert results["bogus"].residuals == EXACT_FAILURE
@@ -114,6 +115,11 @@ def test_matrix_residual_lists_nonzero_cells(lhs, residual):
     result = reporting.run_identities(
         "m", {}, [Identity("m", Matrix(lhs), zero)], [False])
     assert result.residuals == [{"identity": "m", "residual": residual}]
+
+
+def test_misspelled_option_is_a_type_error():
+    with pytest.raises(TypeError):
+        suites.run_suite("rll", maxj=Fraction(1, 2))
 
 
 def test_max_j_suites_are_those_that_read_it():
