@@ -159,28 +159,23 @@ def _factorized_core(j, norm):
     """The factorized spin-j matrix at charge j, before the rational
     coefficients are lifted.  closed-vs-factorized compares each entry
     with the closed T's, whose words hold no a^-1 and no D."""
-    pres = apq_presentation()
     rep = gamma_rep(j, j, norm) if norm == "symmetric" \
         else Rep(j, j, lambda n: FracScalar(qint(n)))
     jp_hat, jm_hat = hatted(rep)
     coords = exponential_coordinates()
     beta, gamma, w = coords["beta"], coords["gamma"], coords["w"]
-    one = NCPoly.one(pres)
-
     left = qexp(-1, jm_hat.map(lambda s: gamma * s))
-    # apow[n] = a^n and wpow[n] = w^n, each power formed once, by the
-    # products that ** forms
-    a, apow, wpow = agen("a"), [one], [one]
-    for _ in range(rep.dim - 1):
-        apow.append(apow[-1] * a)
-        wpow.append(wpow[-1] * w)
-    mid = rep.diag(lambda m: apow[int(rep.j + m)] * wpow[int(rep.j - m)])
     right = qexp(1, jp_hat.map(lambda s: beta * s))
-    # pushing d (in w) past a^-1 (in beta) adds correction terms: mid * right
-    # does it once per entry, and gamma^n = c^n a^-n then needs only swaps
-    # without corrections, where (left * mid) * right would do it in every
-    # product of the double sum
-    return left * (mid * right)
+    # row m of diag(a^(j+m) w^(j-m)) * right: w times the row, j-m times,
+    # then a^(j+m) times that.  Each product pushes one d (in w) past the
+    # a^-1 of beta^n, where w^(j-m) at once multiplies the peel paths;
+    # gamma^n = c^n a^-n in left then needs only swaps without corrections.
+    rows = []
+    for r, row in enumerate(right.rows):      # weight m = j - r
+        for _ in range(r):
+            row = [w * x for x in row]
+        rows.append([agen("a") ** (rep.dim - 1 - r) * x for x in row])
+    return left * Matrix(rows)
 
 
 def t_counit_identities(j, z) -> list[Identity]:

@@ -226,10 +226,10 @@ def run_suite(name: str, *, max_j=None, max_len=None, j=None,
               z=None) -> list[CheckResult]:
     """Run one named suite (or 'all').
 
-    max_j bounds the spins of the suites in MAX_J_SUITES and max_len the
-    confluence words; j and z pick the one comodule check.  An option the
-    suite does not read, or a range that selects no check, raises
-    UsageError, as does an unknown suite.
+    max_j, any value Fraction reads, bounds the spins of the suites in
+    MAX_J_SUITES and max_len the confluence words; j and z pick the one
+    comodule check.  An option the suite does not read, or a range that
+    selects no check, raises UsageError, as does an unknown suite.
 
     Each identity is built once and checked exactly once.  `specialize`
     and `all` then evaluate the same identities numerically at random
@@ -248,7 +248,11 @@ def run_suite(name: str, *, max_j=None, max_len=None, j=None,
                              + ", ".join(MAX_J_SUITES))
         if j is not None:
             raise UsageError("--max-j and --j exclude each other")
-        if max_j < Fraction(1, 2) or (2 * max_j).denominator != 1:
+        try:
+            max_j = Fraction(max_j)
+        except (TypeError, ValueError, ArithmeticError):
+            max_j = None
+        if max_j is None or max_j < HALF or (2 * max_j).denominator != 1:
             raise UsageError("--max-j must be a positive half-integer")
     if max_len is not None:
         if name not in MAX_LEN_SUITES:

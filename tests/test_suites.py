@@ -12,7 +12,7 @@ from qexpmap.algebra_a import a_parse
 from qexpmap.confluence import ConfluenceReport
 from qexpmap.matrices import Matrix
 from qexpmap.reporting import Identity
-from qexpmap.rewrite import NCPoly
+from qexpmap.rewrite import NCPoly, UsageError
 from qexpmap.scalars import (FracScalar, HalfLaurent, NumericParams, Q_pow,
                              RadScalar, eval_points, qint)
 
@@ -120,6 +120,23 @@ def test_matrix_residual_lists_nonzero_cells(lhs, residual):
 def test_misspelled_option_is_a_type_error():
     with pytest.raises(TypeError):
         suites.run_suite("rll", maxj=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("max_j, exact", [
+    (0.5, Fraction(1, 2)), ("1/2", Fraction(1, 2)), (1, Fraction(1)),
+    ("1", Fraction(1)), (1.0, Fraction(1))])
+def test_max_j_is_read_as_a_fraction(max_j, exact):
+    # the constructions accept a spin in any form Fraction reads
+    want = suites.run_suite("closed-vs-factorized", max_j=exact)
+    got = suites.run_suite("closed-vs-factorized", max_j=max_j)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
+@pytest.mark.parametrize("max_j", ["half", "1/0", float("nan"), [1], 0.3])
+def test_unreadable_max_j_is_a_usage_error(max_j):
+    with pytest.raises(UsageError,
+                       match="^--max-j must be a positive half-integer$"):
+        suites.run_suite("rll", max_j=max_j)
 
 
 def test_max_j_suites_are_those_that_read_it():
