@@ -5,16 +5,20 @@ Entries only need +, -, * among themselves.
 Every entry of a matrix has one type: the constructor lifts each entry to
 the highest-ranked type among them (int, Fraction, HalfLaurent,
 FracScalar, RadScalar, NCPoly in promotion order), and a scalar beside an
-NCPoly becomes a constant of that polynomial's algebra.
+NCPoly becomes a constant of that polynomial's algebra.  The results of
+arithmetic on such matrices have one type already and skip that lift.
 
-The matrix product skips every entry product with a zero operand (the
-sparse product of Gustavson, ACM TOMS 4(3), 1978), since the spin-j
-matrices are triangular or banded.  Its result is nevertheless entry for
-entry the one of the dense sum over k: FracScalar has no canonical form,
-so its bytes depend on the order in which values were combined.  The
-nonzero products are therefore added in ascending k.  Every product in a
-sum has the same type, and adding a zero of the sum's type leaves its
-value and bytes unchanged.
+The spin-j matrices are triangular or banded, so the arithmetic forms
+only products of two nonzero entries.  The product is Gustavson's, row by
+row (ACM TOMS 4(3), 1978): for each row i of A it walks the nonzero
+A[i, k] in ascending k and adds A[i, k] * B[k, j], for each nonzero
+B[k, j], into column j's sum, which starts from its first product.  Every
+entry without a product is one zero of the result's type, lifted from 0
+rather than computed.  Each entry still equals the dense sum over k, in
+bytes too: FracScalar has no canonical form, so its bytes depend on the
+order in which values were combined, but the products are added in
+ascending k, all have the sum's type, a zero has one form, and adding a
+zero of the sum's type leaves a value and its bytes unchanged.
 """
 
 from __future__ import annotations
@@ -45,19 +49,17 @@ def _one_type(rows):
                        for x in row) for row in rows)
 
 
-def _tagged(entries):
-    """(entry, is nonzero) for each entry of a row or column."""
-    return [(x, not scalar_is_zero(x)) for x in entries]
+def _nonzero(row):
+    """(k, row[k]) for each nonzero entry of a row, in ascending k."""
+    return [(k, x) for k, x in enumerate(row) if not scalar_is_zero(x)]
 
 
-def _dot(row, col):
-    """The sum of row[k] * col[k] over k, entry for entry as the dense loop
-    forms it; row and col hold _tagged pairs."""
-    acc = None
-    for (x, xnz), (y, ynz) in zip(row, col):
-        if xnz and ynz:
-            acc = x * y if acc is None else acc + x * y
-    return row[0][0] * col[0][0] if acc is None else acc
+def _zero(x, y):
+    """The zero of the type of x * y, formed without arithmetic."""
+    top = max(x, y, key=lambda v: _TYPE_RANK[type(v)])
+    if type(top) is NCPoly:
+        return NCPoly.zero(top.pres)
+    return lift_scalar(0, type(top))
 
 
 class Matrix:
@@ -68,6 +70,13 @@ class Matrix:
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise MatrixError("matrix rows must be nonempty and rectangular")
         self.rows = _one_type(rows)
+
+    @classmethod
+    def _of(cls, rows) -> "Matrix":
+        """Wrap rows, a tuple of equal-length tuples of one entry type."""
+        out = object.__new__(cls)
+        out.rows = rows
+        return out
 
     @property
     def nrows(self):
@@ -98,30 +107,49 @@ class Matrix:
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise MatrixError("shape mismatch in add")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise MatrixError("shape mismatch in sub")
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._of(tuple(tuple(a - b for a, b in zip(r1, r2))
+                                for r1, r2 in zip(self.rows, other.rows)))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise MatrixError("shape mismatch in mul")
-            rows = [_tagged(row) for row in self.rows]
-            cols = [_tagged(col) for col in zip(*other.rows)]
-            return Matrix([[_dot(arow, bcol) for bcol in cols]
-                           for arow in rows])
-        return self.map(lambda x: x * other)
+        if not isinstance(other, Matrix):
+            zero = _zero(self.rows[0][0], other)
+            skip = scalar_is_zero(other)
+            return Matrix._of(tuple(
+                tuple(zero if skip or scalar_is_zero(x) else x * other
+                      for x in row) for row in self.rows))
+        if self.ncols != other.nrows:
+            raise MatrixError("shape mismatch in mul")
+        zero = _zero(self.rows[0][0], other.rows[0][0])
+        brows = [_nonzero(row) for row in other.rows]
+        out = []
+        for arow in self.rows:
+            acc = [None] * other.ncols
+            for k, x in _nonzero(arow):
+                for j, y in brows[k]:
+                    s = acc[j]
+                    acc[j] = x * y if s is None else s + x * y
+            out.append(tuple(zero if s is None else s for s in acc))
+        return Matrix._of(tuple(out))
 
     def kron(self, other) -> "Matrix":
-        return Matrix.build(
-            self.nrows * other.nrows, self.ncols * other.ncols,
-            lambda i, j: self.rows[i // other.nrows][j // other.ncols]
-            * other.rows[i % other.nrows][j % other.ncols])
+        zero = _zero(self.rows[0][0], other.rows[0][0])
+        brows = [_nonzero(row) for row in other.rows]
+        n = other.ncols
+        out = []
+        for arow in map(_nonzero, self.rows):
+            for brow in brows:
+                row = [zero] * (self.ncols * n)
+                for ja, x in arow:
+                    for jb, y in brow:
+                        row[ja * n + jb] = x * y
+                out.append(tuple(row))
+        return Matrix._of(tuple(out))
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(x) for row in self.rows for x in row)

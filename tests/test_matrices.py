@@ -1,10 +1,10 @@
-"""The one entry type of a Matrix, and the zero-skipping matrix product
-against the dense reference loop.
+"""The one entry type of a Matrix, and the zero-skipping matrix product,
+Kronecker product and scalar multiple against dense reference loops.
 
 The constructor lifts every entry to the highest-ranked type among them.
 FracScalar has no canonical form, so two equal values can serialize to
-different bytes.  The product must therefore give each entry exactly the
-type, the bytes and (for NCPoly) the word order of the dense sum.
+different bytes.  Each operation must therefore give each entry exactly
+the type, the bytes and (for NCPoly) the word order of the dense loop.
 """
 
 import json
@@ -37,6 +37,18 @@ def dense_mul(a, b):
     return Matrix(out)
 
 
+def dense_kron(a, b):
+    """The reference: every product a[i1, j1] * b[i2, j2]."""
+    return Matrix([[a.rows[i1][j1] * b.rows[i2][j2]
+                    for j1 in range(a.ncols) for j2 in range(b.ncols)]
+                   for i1 in range(a.nrows) for i2 in range(b.nrows)])
+
+
+def dense_scale(a, c):
+    """The reference: every entry times c."""
+    return Matrix([[x * c for x in row] for row in a.rows])
+
+
 def fingerprint(x):
     if isinstance(x, NCPoly):
         return ("NCPoly", x.pres.name,
@@ -46,7 +58,10 @@ def fingerprint(x):
 
 
 def assert_same_as_dense(a, b):
-    got, want = a * b, dense_mul(a, b)
+    assert_same_entries(a * b, dense_mul(a, b))
+
+
+def assert_same_entries(got, want):
     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
     for i in range(want.nrows):
         for j in range(want.ncols):
@@ -77,6 +92,17 @@ def test_random_scalar_matrices(seed):
     density = rng.choice([0.2, 0.4, 0.7])
     assert_same_as_dense(random_matrix(rng, n, m, ZEROS, NONZEROS, density),
                          random_matrix(rng, m, p, ZEROS, NONZEROS, density))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_scalar_kron_and_multiple(seed):
+    rng = random.Random(seed)
+    density = rng.choice([0.2, 0.4, 0.7])
+    a, b = (random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), ZEROS,
+                          NONZEROS, density) for _ in range(2))
+    assert_same_entries(a.kron(b), dense_kron(a, b))
+    for c in ZEROS + NONZEROS:
+        assert_same_entries(a * c, dense_scale(a, c))
 
 
 def entry_types(m):
@@ -148,6 +174,74 @@ def test_ncpoly_entries_with_zeros():
         n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         assert_same_as_dense(random_matrix(rng, n, m, zeros, nonzeros, 0.4),
                              random_matrix(rng, m, p, zeros, nonzeros, 0.4))
+
+
+def test_ncpoly_kron_and_multiple():
+    pres = apq_presentation()
+    zeros = [0, NCPoly.zero(pres), RadScalar.zero()]
+    nonzeros = [a_parse(t) for t in ("a", "b*c", "d - p*b", "D^1/2*c")]
+    nonzeros += [NCPoly.scalar(pres, FRAC) * a_parse("d"), 3, FRAC]
+    for seed in range(8):
+        rng = random.Random(seed)
+        a, b = (random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3),
+                              zeros, nonzeros, 0.4) for _ in range(2))
+        assert_same_entries(a.kron(b), dense_kron(a, b))
+        for c in zeros + nonzeros:
+            assert_same_entries(a * c, dense_scale(a, c))
+
+
+def test_all_zero_matrix_takes_the_higher_type():
+    pres = apq_presentation()
+    zero = Matrix([[0, Fraction(0)], [0, 0]])
+    assert entry_types(zero) == {Fraction}
+    for c, top in [(FRAC, FracScalar), (RadScalar.sqrt_qints([2]), RadScalar),
+                   (a_parse("b"), NCPoly)]:
+        for got, want in [(zero * c, dense_scale(zero, c)),
+                          (zero.kron(Matrix([[c]])),
+                           dense_kron(zero, Matrix([[c]])))]:
+            assert entry_types(got) == {top}
+            assert got.is_zero()
+            assert_same_entries(got, want)
+    assert {x.pres for row in (zero * a_parse("b")).rows for x in row} \
+        == {pres}
+
+
+def nonzero_entries(m):
+    return sum(not x.is_zero() for row in m.rows for x in row)
+
+
+def nonzero_pairs(a, b):
+    return sum(not a[i, k].is_zero() and not b[k, j].is_zero()
+               for i in range(a.nrows) for k in range(a.ncols)
+               for j in range(b.ncols))
+
+
+def test_ncpoly_product_multiplies_nonzero_pairs_only(monkeypatch):
+    pres = apq_presentation()
+    zero = NCPoly.zero(pres)
+    nonzeros = [a_parse(t) for t in ("a", "b", "c*d", "a - q*b*c")]
+    cases = [(l_matrix("+", 1), l_matrix("-", 1)),
+             (Matrix([[zero, zero]]), Matrix([[a_parse("a")], [zero]]))]
+    for seed in range(6):
+        rng = random.Random(seed)
+        n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        cases.append((random_matrix(rng, n, m, [zero], nonzeros, 0.4),
+                      random_matrix(rng, m, p, [zero], nonzeros, 0.4)))
+    calls = []
+    mul_ok = NCPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul_ok(self, other)
+
+    monkeypatch.setattr(NCPoly, "__mul__", counted)
+    for a, b in cases:
+        calls.clear()
+        a * b
+        assert len(calls) == nonzero_pairs(a, b)
+        calls.clear()
+        a.kron(b)
+        assert len(calls) == nonzero_entries(a) * nonzero_entries(b)
 
 
 def test_scalar_sum_lifted_to_ncpoly_keeps_word_order():

@@ -23,16 +23,29 @@ from qexpmap.suites import SUITES, run_suite
 HALF = Fraction(1, 2)
 
 
-def kappa_cb_inverted(monkeypatch):
-    """c*b = (p/q) b*c in place of (q/p) b*c, in a presentation that every
-    module reading apq_presentation receives."""
+def patched_apq_rule(monkeypatch, pair, rule):
+    """A presentation of A with rule in place of pair's, which every module
+    reading apq_presentation receives."""
     apq = algebra_a.apq_presentation()
     rules = dict(apq.rules)
-    rules[("c", "b")] = (FracScalar(p_pow(1) * q_pow(-1)), ())
+    rules[pair] = rule
     pres = Presentation(apq.name, apq.generators, rules, apq.lambda_one)
     for module in ("algebra_a", "algebra_u", "expmap", "suites"):
         monkeypatch.setattr(f"qexpmap.{module}.apq_presentation",
                             lambda: pres)
+
+
+def kappa_cb_inverted(monkeypatch):
+    """c*b = (p/q) b*c in place of (q/p) b*c."""
+    patched_apq_rule(monkeypatch, ("c", "b"),
+                     (FracScalar(p_pow(1) * q_pow(-1)), ()))
+
+
+def xi_swapped(monkeypatch):
+    """d*a = a*d - (p - 1/q) b*c in place of a*d - (q - 1/p) b*c."""
+    xi = p_pow(1) - q_pow(-1)
+    patched_apq_rule(monkeypatch, ("d", "a"),
+                     (FracScalar.one(), ((-xi, (("b", 1), ("c", 1))),)))
 
 
 def wrong_prefactor_sign(monkeypatch):
@@ -89,6 +102,9 @@ MUTANTS = {
     "kappa-cb": (kappa_cb_inverted,
                  ["relations", "qdet", "lie-coords", "confluence", "comodule",
                   "closed-vs-factorized"], None),
+    "xi": (xi_swapped,
+           ["relations", "qdet", "lie-coords", "comodule",
+            "closed-vs-factorized"], None),
     "qexp-sign": (wrong_prefactor_sign,
                   ["rll", "delta-l", "closed-vs-factorized"],
                   quasitriangular_sees_it_above_spin_half),
