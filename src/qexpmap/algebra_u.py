@@ -73,7 +73,7 @@ def u_relation_identities() -> list[Identity]:
 def u_coproduct(x: NCPoly) -> NCPoly:
     """Coproduct with group-like k: e, f -> g (x) k^-1 + k (x) g."""
     pres = u_presentation()
-    if x.pres is not pres:
+    if getattr(x, "pres", None) is not pres:
         raise ValueError("u_coproduct expects an element of the uq algebra")
     t2 = tensor_square(pres)
     return hom_apply(x, lambda c: NCPoly.scalar(t2, c),
@@ -119,7 +119,7 @@ def pi_apply(sign: str, x: NCPoly) -> NCPoly:
     The source coefficients live at generic lambda; the target algebra sits
     at lambda = 1, so coefficients are specialized on the way through.
     """
-    if x.pres is not apq_presentation():
+    if getattr(x, "pres", None) is not apq_presentation():
         raise ValueError("pi_apply expects an element of the apq algebra")
     pres = u_presentation()
     images = pi_images(sign)
@@ -218,7 +218,7 @@ def hatted(rep: Rep):
 def u_rep_apply(rep: Rep, x: NCPoly) -> Matrix:
     """Represent an element of the dual algebra as a matrix: f acts as
     Jminus, e as Jplus, and k^s as diag(Q^(s m))."""
-    if x.pres is not u_presentation():
+    if getattr(x, "pres", None) is not u_presentation():
         raise ValueError("u_rep_apply expects an element of the uq algebra")
 
     def kdiag(s, mw):

@@ -37,12 +37,13 @@ from .scalars import (FracScalar, HalfLaurent, Q_pow, RadScalar, lam_pow,
 
 
 def qexp(tsign: int, x: Matrix) -> Matrix:
-    """q-exponential E_{t^2}(x) = sum_n t^(-n(n-1)/2) x^n / [n]_t! for
-    t = Q (tsign=+1) or t = Q^-1 (tsign=-1), of a nilpotent matrix.
+    """q-exponential E_{t^2}(x) = sum_n t^(-n(n-1)/2) x^n / [n]_t! of a
+    nilpotent x, t = Q (tsign=+1) or Q^-1 (tsign=-1); [n]_{Q^-1} = [n]_Q.
+    The identity term is x[0, 0] ** 0, the 1 of x's entry type.
 
-    [n]_{Q^-1} = [n]_Q, so only the prefactor depends on the sign.  The
-    identity term is over x's entry type: x[0, 0] ** 0 is that type's 1,
-    NCPoly.one of its algebra for a polynomial.
+    Every entry type embeds in a skew field (A, U and A (x) A are Ore
+    domains), where a nilpotent n x n matrix has x^n = 0; so a nonzero
+    x^n, n = x.nrows, proves that x is not nilpotent.
     """
     if tsign not in (1, -1):
         raise ValueError("tsign must be +1 or -1")
@@ -54,9 +55,7 @@ def qexp(tsign: int, x: Matrix) -> Matrix:
             return result
         coeff = FracScalar(Q_pow(-tsign * n * (n - 1)), qfact(n))
         result = result + power * coeff
-    if not (power * x).is_zero():
-        raise ArithmeticError("q-exponential of a non-nilpotent matrix")
-    return result
+    raise ArithmeticError("q-exponential of a non-nilpotent matrix")
 
 
 # ---------------------------------------------------------------------------

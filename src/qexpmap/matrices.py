@@ -4,9 +4,9 @@ Entries only need +, -, * among themselves.
 
 Every entry of a matrix has one type: the constructor lifts each entry to
 the highest-ranked type among them (int, Fraction, HalfLaurent,
-FracScalar, RadScalar, NCPoly in promotion order), and a scalar beside an
-NCPoly becomes a constant of that polynomial's algebra.  The results of
-arithmetic on such matrices have one type already and skip that lift.
+FracScalar, RadScalar, NCPoly in promotion order; any other type is a
+TypeError), and a scalar beside an NCPoly becomes a constant of that
+polynomial's algebra.  Arithmetic results have one type and skip the lift.
 
 The spin-j matrices are triangular or banded, so the arithmetic forms
 only products of two nonzero entries.  The product is Gustavson's, row by
@@ -22,6 +22,8 @@ zero of the sum's type leaves a value and its bytes unchanged.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .rewrite import NCPoly
 from .scalars import RANK, lift_scalar, scalar_is_zero
@@ -39,6 +41,8 @@ _TYPE_RANK = {**RANK, NCPoly: len(RANK)}
 def _one_type(rows):
     """rows with every entry lifted to the highest-ranked type among them."""
     types = {type(x) for row in rows for x in row}
+    if foreign := sorted(t.__name__ for t in types - _TYPE_RANK.keys()):
+        raise TypeError(f"matrix entries outside the scalar tower: {foreign}")
     if len(types) <= 1:
         return rows
     top = max(types, key=_TYPE_RANK.__getitem__)
@@ -104,25 +108,26 @@ class Matrix:
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.rows])
 
-    def __add__(self, other):
+    def __add__(self, other, op=operator.add):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise MatrixError("shape mismatch in add")
-        return Matrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+            raise MatrixError(f"shape mismatch in {op.__name__}")
+        return Matrix._of(tuple(tuple(map(op, r1, r2))
                                 for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise MatrixError("shape mismatch in sub")
-        return Matrix._of(tuple(tuple(a - b for a, b in zip(r1, r2))
-                                for r1, r2 in zip(self.rows, other.rows)))
+        return self.__add__(other, operator.sub)
 
     def __mul__(self, other):
-        if not isinstance(other, Matrix):
+        if type(other) in _TYPE_RANK:
             zero = _zero(self.rows[0][0], other)
             skip = scalar_is_zero(other)
             return Matrix._of(tuple(
                 tuple(zero if skip or scalar_is_zero(x) else x * other
                       for x in row) for row in self.rows))
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise MatrixError("shape mismatch in mul")
         zero = _zero(self.rows[0][0], other.rows[0][0])

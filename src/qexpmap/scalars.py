@@ -88,7 +88,7 @@ class _Scalar:
 
     def __pow__(self, n: int):
         """self ** n by repeated squaring; a negative n inverts first."""
-        n = int(n)
+        n = n if type(n) is int else integer(n)
         if n < 0:
             return self.inverse() ** (-n)
         result, base = None, self
@@ -106,6 +106,14 @@ class _Scalar:
     def __str__(self):
         from .render import scalar_str
         return scalar_str(self)
+
+
+def integer(n) -> int:
+    """n as an int; a non-integral n is a ScalarError, never truncated."""
+    k = int(n)
+    if k != n:
+        raise ScalarError(f"non-integral argument {n}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +171,7 @@ class HalfLaurent(_Scalar):
 
     @staticmethod
     def monomial(coeff, qhalf: int, lhalf: int) -> "HalfLaurent":
-        return HalfLaurent({(int(qhalf), int(lhalf)): coeff})
+        return HalfLaurent({(integer(qhalf), integer(lhalf)): coeff})
 
     # -- predicates
 
@@ -322,7 +330,7 @@ def qint(n: int) -> HalfLaurent:
 
     For n > 0 this is sum_{i=0..n-1} Q^(n-1-2i); it is antisymmetric in n.
     """
-    n = int(n)
+    n = integer(n)
     sign = 1
     if n < 0:
         n, sign = -n, -1
@@ -336,7 +344,7 @@ _radicand = memo(qint)
 
 def qfact(n: int) -> HalfLaurent:
     """[n]! = [n][n-1]...[1]; [0]! = 1.  Negative n is a domain error."""
-    if n < 0:
+    if integer(n) < 0:
         raise ScalarError(f"qfact of negative integer {n}")
     result = HalfLaurent.one()
     for k in range(1, int(n) + 1):
@@ -484,7 +492,7 @@ class RadScalar(_Scalar):
             coeff = lift_scalar(coeff, FracScalar)
             newrad = []
             for n, cnt in sorted(Counter(rad).items()):
-                n = int(n)
+                n = integer(n)
                 if n == 0:
                     coeff = FracScalar.zero()
                     break

@@ -104,7 +104,7 @@ def test_14_swapped_canonical_element_matches_r_matrix():
 
 
 def test_15_numeric_specialization_agrees():
-    points = random_points(5)
+    points = random_points()
     assert len(points) == 5
     assert_suite("specialize")
 

@@ -110,6 +110,12 @@ class TestTMatrices:
             assert_all(comodule_identities(j, z))
             assert_all(t_counit_identities(j, z))
 
+    @pytest.mark.parametrize("tj", [6, 7])
+    def test_comodule_and_counit_at_higher_spin(self, tj, fresh_caches):
+        j = Fraction(tj, 2)
+        assert_all(comodule_identities(j, j))
+        assert_all(t_counit_identities(j, j))
+
 
 class TestQExp:
     def test_nilpotent_series_terminates(self):
@@ -126,6 +132,23 @@ class TestQExp:
         m = Matrix([[ugen("k")]])
         with pytest.raises(ArithmeticError):
             qexp(1, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_non_nilpotent_is_rejected_after_n_powers(self, n, monkeypatch):
+        # a cyclic shift is never nilpotent; its x^n != 0 already proves it
+        x = Matrix.build(n, n, lambda r, c: int(c == (r + 1) % n))
+        products = []
+        mul = Matrix.__mul__
+
+        def counted(self, other):
+            if isinstance(other, Matrix):
+                products.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        with pytest.raises(ArithmeticError, match="non-nilpotent"):
+            qexp(1, x)
+        assert len(products) == n
 
 
 class TestRMatrices:

@@ -56,6 +56,13 @@ def test_rejects_the_other_algebra(name):
 
 
 @pytest.mark.parametrize("name", list(MAPS))
+def test_rejects_a_non_polynomial(name):
+    _, f, _, _ = MAPS[name]
+    with pytest.raises(ValueError, match="expects an element"):
+        f(1.5)
+
+
+@pytest.mark.parametrize("name", list(MAPS))
 def test_multiplicative_and_unital(name):
     pres, f, one, negative = MAPS[name]
     assert f(NCPoly.one(pres)) == one

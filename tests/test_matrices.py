@@ -268,3 +268,17 @@ def test_shape_mismatch():
     a = Matrix([[1, 2, 3]])
     with pytest.raises(MatrixError):
         a * a
+    with pytest.raises(MatrixError, match="shape mismatch in sub"):
+        a - Matrix([[1]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix([[1, 1.5]]),
+    lambda: Matrix([[1.5]]),
+    lambda: Matrix([[1, 0]]) * 1.5,
+    lambda: Matrix([[1, 0]]) + 1.5,
+    lambda: Matrix([[1, 0]]) - 1.5,
+], ids=["mixed", "float", "mul", "add", "sub"])
+def test_value_outside_the_tower_is_a_type_error(make):
+    with pytest.raises(TypeError, match="float"):
+        make()

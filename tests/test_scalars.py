@@ -256,3 +256,26 @@ def test_negative_power_of_a_monomial(x):
         assert scalar_to_json(x ** -n) == scalar_to_json(prod)
         assert x ** -n * x ** n == 1
         prod = prod * inv
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Q_pow(2) ** Fraction(1, 2),
+    lambda: FracScalar(Q_pow(1)) ** 1.5,
+    lambda: qint(Fraction(5, 2)),
+    lambda: qfact(Fraction(5, 2)),
+    lambda: Q_pow(Fraction(3, 2)),
+    lambda: lam_pow(0.5),
+    lambda: RadScalar.sqrt_qints([2.5]),
+], ids=["pow", "frac-pow", "qint", "qfact", "Q_pow", "lam_pow", "radicand"])
+def test_non_integral_argument_is_a_scalar_error(call):
+    with pytest.raises(ScalarError, match="non-integral"):
+        call()
+
+
+def test_integral_values_of_any_type_are_accepted():
+    assert Q_pow(2) ** Fraction(4, 2) == Q_pow(2) ** 2.0 == Q_pow(4)
+    assert qint(Fraction(3)) == qint(3.0) == qint(3)
+    assert qfact(Fraction(4, 2)) == qfact(2)
+    assert Q_pow(Fraction(6, 2)) == lam_pow(0) * Q_pow(3.0)
+    assert RadScalar.sqrt_qints([Fraction(2), 3.0]) == \
+        RadScalar.sqrt_qints([2, 3])
